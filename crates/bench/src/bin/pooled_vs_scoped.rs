@@ -7,7 +7,8 @@
 //! 1. **Engine dispatch** — does routing the parallel gridders through
 //!    the persistent [`WorkerPool`](jigsaw_core::engine::WorkerPool)
 //!    (`ExecBackend::Pooled`) keep up with (or beat) per-call
-//!    `std::thread::scope` spawning (`ExecBackend::Scoped`)?
+//!    `std::thread::scope` spawning (`ExecBackend::Scoped`)? The serial
+//!    engine is timed alongside as the baseline.
 //! 2. **Multi-coil batching** — on a radial 256² problem with ≥ 8 coils,
 //!    does `plan_trajectory` + `adjoint_batch_planned` (decompose once,
 //!    stream every coil through the pool) beat a per-coil loop of
@@ -19,7 +20,9 @@
 use jigsaw_bench::harness::{fmt_time, BenchGroup, Stats};
 use jigsaw_bench::{EvalImage, HarnessArgs, TrajKind};
 use jigsaw_core::engine::{ExecBackend, WorkerPool};
-use jigsaw_core::gridding::{BinnedGridder, Gridder, SliceDiceGridder, SliceDiceMode};
+use jigsaw_core::gridding::{
+    BinnedGridder, Gridder, SerialGridder, SliceDiceGridder, SliceDiceMode,
+};
 use jigsaw_core::{NufftConfig, NufftPlan};
 use jigsaw_num::C64;
 
@@ -57,6 +60,14 @@ fn engine_dispatch(img: &EvalImage, records: &mut Vec<JsonRecord>) -> (f64, f64)
         .throughput_elements(coords_cycles.len() as u64);
     let mut pooled_med = f64::INFINITY;
     let mut scoped_med = f64::INFINITY;
+    // The input-driven serial engine: the baseline every parallel
+    // engine's dispatch is read against.
+    let serial = group.bench_function("serial", || {
+        let mut out = vec![C64::zeroed(); g * g];
+        SerialGridder.grid(params, lut, &mapped, &values, &mut out);
+        out
+    });
+    record(records, "engine_dispatch", "serial", serial);
     for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
         let tag = match backend {
             ExecBackend::Pooled => "pooled",

@@ -32,7 +32,8 @@ pub struct GridParams {
 
 impl GridParams {
     /// Validate against the constraints shared by all engines and the
-    /// JIGSAW hardware (Table I): `T | G`, `W ≤ T`, `L` a power of two.
+    /// JIGSAW hardware (Table I): `T | G`, `W ≤ T`, `W ≤ MAX_W`, `L` a
+    /// power of two.
     pub fn validate(&self) -> Result<()> {
         if self.grid == 0 {
             return Err(Error::Config("grid size must be positive".into()));
@@ -50,6 +51,13 @@ impl GridParams {
             return Err(Error::Config(format!(
                 "tile dimension {} must divide grid size {}",
                 self.tile, self.grid
+            )));
+        }
+        if self.width > crate::gridding::MAX_W {
+            return Err(Error::Config(format!(
+                "window width {} exceeds the supported maximum {}",
+                self.width,
+                crate::gridding::MAX_W
             )));
         }
         if self.width > self.tile {

@@ -21,15 +21,14 @@
 
 use crate::config::GridParams;
 
-/// Per-dimension decomposition of one quantized coordinate.
+/// Per-dimension decomposition of one quantized coordinate: everything
+/// a sample's window is expanded from, in 8 bytes. The select unit's
+/// relative and tile coordinates are bit fields of `base` (see
+/// [`Decomposer::rel_coord`] and [`Decomposer::tile_coord`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DimDecomp {
     /// Window base `b = ⌊u + W/2⌋ mod G` (torus).
     pub base: u32,
-    /// Relative coordinate `r = b mod T` — "in which column".
-    pub rel: u32,
-    /// Tile coordinate `q = b div T` — "which depth in the dice".
-    pub tile: u32,
     /// Fractional offset `φ` in half-LUT units: `phi2 = 2·φ·L ∈ [0, 2L)`.
     /// Half units make the decomposition exact for every `(W, L)` pair,
     /// including odd `W·L` (e.g. `L = 1`, `W = 5`).
@@ -48,10 +47,10 @@ pub struct DimDecomp {
 /// let dec = Decomposer::new(&p);
 /// // Sample at u = 20.25: window base = floor(20.25 + 3) = 23.
 /// let d = dec.decompose(dec.quantize(20.25));
-/// assert_eq!((d.base, d.tile, d.rel), (23, 2, 7));
+/// assert_eq!((d.base, dec.tile_coord(&d), dec.rel_coord(&d)), (23, 2, 7));
 /// // Pipeline 5 is affected (forward distance 2 < W), writes tile 2.
-/// assert_eq!(dec.forward_distance(d.rel, 5), 2);
-/// assert!(dec.affects(2) && !dec.wrapped(d.rel, 5));
+/// assert_eq!(dec.forward_distance(dec.rel_coord(&d), 5), 2);
+/// assert!(dec.affects(2) && !dec.wrapped(dec.rel_coord(&d), 5));
 /// ```
 #[derive(Copy, Clone, Debug)]
 pub struct Decomposer {
@@ -103,42 +102,77 @@ impl Decomposer {
     #[inline]
     pub fn quantize(&self, u: f64) -> u32 {
         let gl = (self.g * self.l) as f64;
-        let scaled = (u * self.l as f64).round().rem_euclid(gl);
-        scaled as u32
+        let scaled = (u * self.l as f64).round();
+        // `rem_euclid` is a libm `fmod` call, and the identity on
+        // `[0, G·L)`, where mapped coordinates already lie.
+        if (0.0..gl).contains(&scaled) {
+            scaled as u32
+        } else {
+            scaled.rem_euclid(gl) as u32
+        }
     }
 
     /// Decompose a quantized coordinate `uq` (units of `1/L`).
     #[inline]
     pub fn decompose(&self, uq: u32) -> DimDecomp {
         // Work in half-units of 1/(2L) so that the W/2 shift is always an
-        // integer: s2 = 2·uq + W·L.
+        // integer: s2 = 2·uq + W·L. `L` is a power of two, so the div and
+        // mod by 2L are a shift and a mask (in hardware, wires); the mod G
+        // divides only for the few bases that wrap the torus.
         let s2 = 2 * uq as u64 + (self.w * self.l) as u64;
-        let two_l = (2 * self.l) as u64;
-        let base = ((s2 / two_l) % self.g as u64) as u32;
-        let phi2 = (s2 % two_l) as u32;
+        let b = s2 >> (self.l.trailing_zeros() + 1);
+        let g = self.g as u64;
         DimDecomp {
-            base,
-            rel: base & (self.t - 1),
-            tile: base >> self.log2_t,
-            phi2,
+            base: (if b < g { b } else { b % g }) as u32,
+            phi2: (s2 & (2 * self.l as u64 - 1)) as u32,
         }
     }
 
+    /// Decompose every dimension of one sample's mapped coordinate.
+    #[inline]
+    pub fn decompose_sample<const D: usize>(&self, coord: &[f64; D]) -> [DimDecomp; D] {
+        core::array::from_fn(|d| self.decompose(self.quantize(coord[d])))
+    }
+
+    /// Relative coordinate `r = b mod T` — "in which column": the low
+    /// `log2 T` bits of the base.
+    #[inline]
+    pub fn rel_coord(&self, d: &DimDecomp) -> u32 {
+        d.base & (self.t - 1)
+    }
+
+    /// Tile coordinate `q = b div T` — "which depth in the dice": the
+    /// base with its low `log2 T` bits truncated.
+    #[inline]
+    pub fn tile_coord(&self, d: &DimDecomp) -> u32 {
+        d.base >> self.log2_t
+    }
+
+    /// Tile and relative coordinate of any grid index `k`, the same
+    /// truncation [`Self::tile_coord`] / [`Self::rel_coord`] apply to a
+    /// window base.
+    #[inline]
+    pub fn split(&self, k: u32) -> (u32, u32) {
+        (k >> self.log2_t, k & (self.t - 1))
+    }
+
     /// The `j`-th window point (`j ∈ [0, W)`): grid index and *unfolded*
-    /// LUT index `t = round((j + φ)·L)` (round half up).
+    /// LUT index `t = round((j + φ)·L)` (round half up). The torus wrap
+    /// is one compare-and-subtract: `b + G − j < 2G` because `b < G` and
+    /// `j < W ≤ G`.
     #[inline]
     pub fn window_point(&self, d: &DimDecomp, j: u32) -> (u32, u32) {
         debug_assert!(j < self.w);
-        let k = (d.base + self.g - j) % self.g;
+        let k = d.base + self.g - j;
+        let k = if k >= self.g { k - self.g } else { k };
         (k, self.lut_index(j, d.phi2))
     }
 
     /// Unfolded LUT index for forward distance `dist` and fractional
-    /// offset `phi2`: `t = round(dist·L + phi2/2)`, rounding half up — in
-    /// hardware, an add and a 1-bit truncation.
+    /// offset `phi2` (see [`lut_index`]).
     #[inline]
     pub fn lut_index(&self, dist: u32, phi2: u32) -> u32 {
-        (2 * dist * self.l + phi2 + 1) >> 1
+        lut_index(self.l, dist, phi2)
     }
 
     /// Fold an unfolded LUT index into the stored symmetric half-table:
@@ -175,12 +209,21 @@ impl Decomposer {
     /// sample: `q`, decremented (mod tiles-per-dim) on wrap.
     #[inline]
     pub fn tile_for_pipeline(&self, d: &DimDecomp, p: u32) -> u32 {
-        if self.wrapped(d.rel, p) {
-            (d.tile + self.tiles - 1) % self.tiles
+        let tile = self.tile_coord(d);
+        if self.wrapped(self.rel_coord(d), p) {
+            (tile + self.tiles - 1) % self.tiles
         } else {
-            d.tile
+            tile
         }
     }
+}
+
+/// Unfolded LUT index for forward distance `dist` and fractional offset
+/// `phi2` at table oversampling `l`: `t = round(dist·L + phi2/2)`,
+/// rounding half up — in hardware, an add and a 1-bit truncation.
+#[inline]
+pub fn lut_index(l: u32, dist: u32, phi2: u32) -> u32 {
+    (2 * dist * l + phi2 + 1) >> 1
 }
 
 #[cfg(test)]
@@ -214,7 +257,7 @@ mod tests {
         for i in 0..64 * 32 {
             let dec = d.decompose(i);
             // q·T + r == base.
-            assert_eq!(dec.tile * 8 + dec.rel, dec.base);
+            assert_eq!(d.tile_coord(&dec) * 8 + d.rel_coord(&dec), dec.base);
             // base and phi2 reconstruct u + W/2 (mod G).
             let u_half = 2 * i as u64 + (6 * 32) as u64;
             assert_eq!(
@@ -287,7 +330,7 @@ mod tests {
             direct.sort_unstable();
             // Select-unit enumeration over all pipelines.
             let mut selected: Vec<(u32, u32)> = (0..8)
-                .filter(|&pipe| d.affects(d.forward_distance(dec.rel, pipe)))
+                .filter(|&pipe| d.affects(d.forward_distance(d.rel_coord(&dec), pipe)))
                 .map(|pipe| (d.tile_for_pipeline(&dec, pipe), pipe))
                 .collect();
             selected.sort_unstable();
@@ -305,7 +348,7 @@ mod tests {
             let u = step as f64 * 0.37 + 0.011;
             let dec = d.decompose(d.quantize(u));
             for pipe in 0..8 {
-                let dist = d.forward_distance(dec.rel, pipe);
+                let dist = d.forward_distance(d.rel_coord(&dec), pipe);
                 if !d.affects(dist) {
                     continue;
                 }
@@ -324,7 +367,7 @@ mod tests {
         for step in 0..100 {
             let dec = d.decompose(d.quantize(step as f64 * 0.61));
             let n = (0..8)
-                .filter(|&pipe| d.affects(d.forward_distance(dec.rel, pipe)))
+                .filter(|&pipe| d.affects(d.forward_distance(d.rel_coord(&dec), pipe)))
                 .count();
             assert_eq!(n, 6);
         }
@@ -351,11 +394,11 @@ mod tests {
         // base = 2 → rel = 2, tile = 0. Pipeline 5 is affected
         // (distance (2−5) mod 8 = 5 < 6) and wraps to tile −1 ≡ 3.
         let dec = d.decompose(d.quantize(2.0 - 3.0)); // u = −1 → u+3 = 2
-        assert_eq!(dec.rel, 2);
-        assert_eq!(dec.tile, 0);
-        assert!(d.wrapped(dec.rel, 5));
+        assert_eq!(d.rel_coord(&dec), 2);
+        assert_eq!(d.tile_coord(&dec), 0);
+        assert!(d.wrapped(d.rel_coord(&dec), 5));
         assert_eq!(d.tile_for_pipeline(&dec, 5), 3);
-        assert!(!d.wrapped(dec.rel, 1));
+        assert!(!d.wrapped(d.rel_coord(&dec), 1));
         assert_eq!(d.tile_for_pipeline(&dec, 1), 0);
     }
 }

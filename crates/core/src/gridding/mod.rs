@@ -10,7 +10,7 @@
 //! | [`SerialGridder`] | MIRT CPU baseline | input-driven, serial |
 //! | [`NaiveOutputGridder`] | §II-C naive output-parallel | every point checks every sample |
 //! | [`BinnedGridder`] | Impatient-style binning | presort + tile–bin pairs |
-//! | [`SliceDiceGridder`] | the paper's contribution | stacked tiles, two-part check |
+//! | [`SliceDiceGridder`] | the paper's contribution | stacked tiles, column ownership |
 //!
 //! All engines consume coordinates already mapped to oversampled-grid
 //! units `u ∈ [0, G)` and quantized through the shared [`Decomposer`], and
@@ -35,8 +35,9 @@ use crate::stats::GridStats;
 use crate::{Error, Result};
 use jigsaw_num::{Complex, Float};
 
-/// Maximum supported interpolation window width (per dimension). Engines
-/// use fixed-size window scratch arrays; Table I's hardware range is 1–8.
+/// Maximum supported interpolation window width (per dimension), which
+/// [`GridParams::validate`] enforces: windows are expanded into
+/// fixed-size scratch arrays. Table I's hardware range is 1–8.
 pub const MAX_W: usize = 16;
 
 /// An adjoint gridding engine: scatters samples onto the oversampled grid.
@@ -97,6 +98,10 @@ pub fn validate_batch<T: Float, const D: usize>(
 }
 
 /// Per-dimension window of one sample: grid indices and kernel weights.
+///
+/// Per-sample scratch, never stored: the LUT engines fill it from the
+/// sample's [`DimDecomp`] with [`expand_windows`]; the exact and lerp
+/// baselines fill it from the continuous kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct DimWindow {
     /// Grid index of window point `j` (already torus-wrapped).
@@ -114,73 +119,88 @@ impl Default for DimWindow {
     }
 }
 
-/// Compute the per-dimension windows for one sample. Shared by the serial
-/// and binned engines (the Slice-and-Dice engines use the select-unit
-/// formulation instead, which tests prove equivalent).
-#[inline]
+/// Expand a sample's decomposition into its per-dimension windows: the
+/// `W` torus-wrapped grid indices and LUT weights of every dimension.
+///
+/// Every LUT scatter and gather — the serial, binned and Slice-and-Dice
+/// engines, the planned batches, the forward interpolator — takes its
+/// windows from here, so they all interpolate with the same indices and
+/// bit-identical weights. Only the first `W` slots of each dimension are
+/// written, so a hot loop reuses one buffer for every sample.
+#[inline(always)]
+pub fn expand_windows<const D: usize>(
+    dec: &Decomposer,
+    lut: &KernelLut,
+    dds: &[DimDecomp; D],
+    wins: &mut [DimWindow; D],
+) {
+    let w = dec.width() as usize;
+    for (win, dd) in wins.iter_mut().zip(dds) {
+        for j in 0..w {
+            win.idx[j] = dec.window_point(dd, j as u32).0;
+        }
+        win.weight[..w].copy_from_slice(lut.window_weights(dd.phi2));
+    }
+}
+
+/// Decompose one sample's mapped coordinate and expand its windows into
+/// a fresh buffer.
 pub fn sample_windows<const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
     coord: &[f64; D],
 ) -> ([DimWindow; D], [DimDecomp; D]) {
-    let w = dec.width() as usize;
+    let dds = dec.decompose_sample(coord);
     let mut wins = [DimWindow::default(); D];
-    let mut decs = [DimDecomp {
-        base: 0,
-        rel: 0,
-        tile: 0,
-        phi2: 0,
-    }; D];
-    for d in 0..D {
-        let dd = dec.decompose(dec.quantize(coord[d]));
-        decs[d] = dd;
-        for j in 0..w {
-            let (k, t) = dec.window_point(&dd, j as u32);
-            wins[d].idx[j] = k;
-            wins[d].weight[j] = lut.lookup(t);
-        }
-    }
-    (wins, decs)
+    expand_windows(dec, lut, &dds, &mut wins);
+    (wins, dds)
 }
 
-/// Scatter one sample into a row-major grid given its per-dim windows.
-/// Specialized inner loops for the 2-D and 3-D cases the paper targets.
-#[inline]
-pub fn scatter_rowmajor<T: Float, const D: usize>(
+/// Visit one sample's `W^D` window points in row-major order, skipping
+/// the rows of the slowest axis (planes in 3-D, points in 1-D) that
+/// `row_slot` rejects. `f(index, weight)` gets the point's index in a
+/// row-major buffer holding grid row `k` at row `row_slot(k)`, and the
+/// product of its per-dimension weights, slowest axis first.
+#[inline(always)]
+pub(crate) fn for_each_point<const D: usize>(
     g: usize,
     w: usize,
     wins: &[DimWindow; D],
-    value: Complex<T>,
-    out: &mut [Complex<T>],
+    row_slot: impl Fn(u32) -> Option<usize>,
+    mut f: impl FnMut(usize, f64),
 ) {
     match D {
         1 => {
             for j in 0..w {
-                let wt = T::from_f64(wins[0].weight[j]);
-                out[wins[0].idx[j] as usize] += value.scale(wt);
+                if let Some(s) = row_slot(wins[0].idx[j]) {
+                    f(s, wins[0].weight[j]);
+                }
             }
         }
         2 => {
-            // Dimension 0 is the row (slow axis), dimension 1 the column.
             for jy in 0..w {
-                let row = wins[0].idx[jy] as usize * g;
+                let Some(s) = row_slot(wins[0].idx[jy]) else {
+                    continue;
+                };
+                let row = s * g;
                 let wy = wins[0].weight[jy];
                 for jx in 0..w {
-                    let wt = T::from_f64(wy * wins[1].weight[jx]);
-                    out[row + wins[1].idx[jx] as usize] += value.scale(wt);
+                    f(row + wins[1].idx[jx] as usize, wy * wins[1].weight[jx]);
                 }
             }
         }
         3 => {
             for jz in 0..w {
-                let plane = wins[0].idx[jz] as usize * g * g;
+                let Some(s) = row_slot(wins[0].idx[jz]) else {
+                    continue;
+                };
+                let plane = s * g * g;
                 let wz = wins[0].weight[jz];
                 for jy in 0..w {
                     let row = plane + wins[1].idx[jy] as usize * g;
                     let wyz = wz * wins[1].weight[jy];
                     for jx in 0..w {
-                        let wt = T::from_f64(wyz * wins[2].weight[jx]);
-                        out[row + wins[2].idx[jx] as usize] += value.scale(wt);
+                        f(row + wins[2].idx[jx] as usize, wyz * wins[2].weight[jx]);
                     }
                 }
             }
@@ -189,13 +209,15 @@ pub fn scatter_rowmajor<T: Float, const D: usize>(
             // Generic odometer over the W^D window.
             let mut j = [0usize; D];
             loop {
-                let mut idx = 0usize;
-                let mut wt = 1.0;
-                for d in 0..D {
-                    idx = idx * g + wins[d].idx[j[d]] as usize;
-                    wt *= wins[d].weight[j[d]];
+                if let Some(s) = row_slot(wins[0].idx[j[0]]) {
+                    let mut idx = s;
+                    let mut wt = wins[0].weight[j[0]];
+                    for d in 1..D {
+                        idx = idx * g + wins[d].idx[j[d]] as usize;
+                        wt *= wins[d].weight[j[d]];
+                    }
+                    f(idx, wt);
                 }
-                out[idx] += value.scale(T::from_f64(wt));
                 let mut d = D;
                 loop {
                     if d == 0 {
@@ -211,6 +233,24 @@ pub fn scatter_rowmajor<T: Float, const D: usize>(
             }
         }
     }
+}
+
+/// Scatter one sample into a row-major grid given its per-dim windows.
+#[inline]
+pub fn scatter_rowmajor<T: Float, const D: usize>(
+    g: usize,
+    w: usize,
+    wins: &[DimWindow; D],
+    value: Complex<T>,
+    out: &mut [Complex<T>],
+) {
+    for_each_point(
+        g,
+        w,
+        wins,
+        |k| Some(k as usize),
+        |i, wt| out[i] += value.scale(T::from_f64(wt)),
+    );
 }
 
 /// Number of worker threads to use for the parallel engines: explicit

@@ -9,7 +9,7 @@
 //! speedup in Figs. 6–8) and the *quality* reference: run at `f64` it
 //! defines the grid every other engine must reproduce.
 
-use super::{sample_windows, scatter_rowmajor, validate_batch, Gridder};
+use super::{expand_windows, scatter_rowmajor, validate_batch, DimWindow, Gridder};
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
 use crate::lut::KernelLut;
@@ -42,8 +42,9 @@ impl<T: Float, const D: usize> Gridder<T, D> for SerialGridder {
         let dec = Decomposer::new(p);
         let w = p.width;
         let start = Instant::now();
+        let mut wins = [DimWindow::default(); D];
         for (c, &v) in coords.iter().zip(values) {
-            let (wins, _) = sample_windows(&dec, lut, c);
+            expand_windows(&dec, lut, &dec.decompose_sample(c), &mut wins);
             scatter_rowmajor(p.grid, w, &wins, v, out);
         }
         let elapsed = start.elapsed().as_secs_f64();
@@ -97,7 +98,7 @@ impl<T: Float, const D: usize> Gridder<T, D> for ExactGridder {
         let kernel = &p.kernel;
         let start = Instant::now();
         for (c, &v) in coords.iter().zip(values) {
-            let mut wins = [super::DimWindow::default(); D];
+            let mut wins = [DimWindow::default(); D];
             for d in 0..D {
                 let u = c[d].rem_euclid(g);
                 let base = (u + w as f64 / 2.0).floor();
@@ -153,7 +154,7 @@ impl<T: Float, const D: usize> Gridder<T, D> for LerpGridder {
         let g = p.grid as f64;
         let start = Instant::now();
         for (c, &v) in coords.iter().zip(values) {
-            let mut wins = [super::DimWindow::default(); D];
+            let mut wins = [DimWindow::default(); D];
             for d in 0..D {
                 let u = c[d].rem_euclid(g);
                 let base = (u + w as f64 / 2.0).floor();

@@ -10,12 +10,24 @@
 //! one point per column**, so column owners never interact: no presort, no
 //! duplicate processing, `M·T^d` checks total.
 //!
-//! Three execution modes mirror the paper's software variants:
+//! JIGSAW evaluates those `T^d` checks in parallel, one select unit per
+//! pipeline. A CPU worker would evaluate them one after another, so the
+//! software modes answer the same question from the other side: the
+//! checks that pass are exactly the `W^d` points of the sample's window
+//! ([`super::expand_windows`]), so a worker expands the window once and
+//! keeps the points of the columns it owns. [`GridStats::boundary_checks`]
+//! still reports the `M·T^d` logical checks.
+//!
+//! Four execution modes mirror the paper's software variants:
 //!
 //! * [`SliceDiceMode::Serial`] — one worker plays all columns (reference).
 //! * [`SliceDiceMode::ColumnParallel`] — the pure output-driven model:
 //!   workers own disjoint column sets of the dice, scan the whole sample
-//!   stream, and never synchronize (JIGSAW's structure in software).
+//!   stream, and never synchronize (JIGSAW's structure in software). Job
+//!   `k` owns a contiguous range of row-axis pipeline indices — every grid
+//!   row (plane in 3-D) whose index mod `T` lies in that range — and
+//!   accumulates into a private row-major slab that the caller merges
+//!   with whole-row adds.
 //! * [`SliceDiceMode::BlockAtomic`] — the paper's *GPU* scheme: the sample
 //!   stream is split across blocks, every block runs the column structure
 //!   on its subset, and updates to the shared grid use atomic adds ("We
@@ -24,9 +36,12 @@
 //!   per-block grids merged deterministically at the end (an ablation on
 //!   the atomic traffic).
 
-use super::{validate_batch, worker_threads, Gridder};
+use super::{
+    expand_windows, for_each_point, scatter_rowmajor, validate_batch, worker_threads, DimWindow,
+    Gridder,
+};
 use crate::config::GridParams;
-use crate::decomp::{Decomposer, DimDecomp};
+use crate::decomp::Decomposer;
 use crate::engine::{keys, ExecBackend, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
@@ -95,36 +110,6 @@ impl SliceDiceGridder {
     }
 }
 
-/// Per-dimension select-unit precomputation for one sample: for each
-/// pipeline index `p ∈ [0, T)`, whether it is affected, its kernel weight,
-/// and the tile coordinate it writes.
-struct DimSelect {
-    weight: [f64; 16],
-    tile: [u32; 16],
-    affected: [bool; 16],
-}
-
-impl DimSelect {
-    #[inline]
-    fn compute(dec: &Decomposer, lut: &KernelLut, dd: &DimDecomp) -> Self {
-        let t = dec.tile() as usize;
-        let mut s = DimSelect {
-            weight: [0.0; 16],
-            tile: [0; 16],
-            affected: [false; 16],
-        };
-        for p in 0..t {
-            let dist = dec.forward_distance(dd.rel, p as u32);
-            if dec.affects(dist) {
-                s.affected[p] = true;
-                s.weight[p] = lut.lookup(dec.lut_index(dist, dd.phi2));
-                s.tile[p] = dec.tile_for_pipeline(dd, p as u32);
-            }
-        }
-        s
-    }
-}
-
 impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
     fn name(&self) -> &'static str {
         match self.mode {
@@ -153,9 +138,9 @@ impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
         });
         let b = self.backend;
         let stats = match self.mode {
-            SliceDiceMode::Serial => grid_columns(p, lut, coords, values, out, 1, b),
+            SliceDiceMode::Serial => grid_rows(p, lut, coords, values, out, 1, b),
             SliceDiceMode::ColumnParallel => {
-                grid_columns(p, lut, coords, values, out, worker_threads(self.threads), b)
+                grid_rows(p, lut, coords, values, out, worker_threads(self.threads), b)
             }
             SliceDiceMode::BlockAtomic => {
                 grid_block_atomic(p, lut, coords, values, out, worker_threads(self.threads), b)
@@ -169,114 +154,90 @@ impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
     }
 }
 
-/// One column-owner's job: scan the *full* sample stream and accumulate
-/// into a private slab of `chunk.len() / col_len` dice columns starting
-/// at global column `first_col`. Shared verbatim by the scoped and pooled
-/// backends so their per-column arithmetic is identical instruction for
-/// instruction — the bitwise-equality guarantee rests on this.
-#[allow(clippy::too_many_arguments)]
-fn columns_worker<T: Float, const D: usize>(
+/// The dice columns one job owns, as grid rows: every row of the
+/// slowest axis (plane in 3-D, point in 1-D) whose index mod `T` — its
+/// row-axis pipeline index — lies in `lo..hi`. The job's slab holds them
+/// row-major in grid order, `hi − lo` rows per tile.
+#[derive(Clone, Copy)]
+struct OwnedRows {
+    lo: u32,
+    hi: u32,
+}
+
+impl OwnedRows {
+    /// Slab row of grid row `k`, or `None` if another job owns it.
+    #[inline]
+    fn slot(self, dec: &Decomposer, k: u32) -> Option<usize> {
+        let (q, r) = dec.split(k);
+        (self.lo..self.hi)
+            .contains(&r)
+            .then(|| (q * (self.hi - self.lo) + r - self.lo) as usize)
+    }
+
+    /// Grid row held in slab row `s`.
+    fn row(self, t: usize, s: usize) -> usize {
+        let per_tile = (self.hi - self.lo) as usize;
+        s / per_tile * t + self.lo as usize + s % per_tile
+    }
+}
+
+/// One row owner's job: stream the *full* sample stream, expand each
+/// sample's window once, and accumulate its points on owned rows into
+/// `slab`. Shared verbatim by the scoped and pooled backends and the
+/// serial fallback, so every grid point receives the same weight
+/// products in sample order whichever job owns it — the bitwise-equality
+/// guarantee rests on this.
+fn rows_worker<T: Float, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
     coords: &[[f64; D]],
     values: &[Complex<T>],
-    t: usize,
-    tiles: usize,
-    col_len: usize,
-    first_col: usize,
-    chunk: &mut [Complex<T>],
-) -> (u64, u64) {
-    let my_cols = chunk.len() / col_len;
-    let mut n_checks = 0u64;
-    let mut n_accums = 0u64;
+    rows: OwnedRows,
+    slab: &mut [Complex<T>],
+) {
+    let (g, w) = (dec.grid() as usize, dec.width() as usize);
+    let mut wins = [DimWindow::default(); D];
     for (i, (c, &v)) in coords.iter().zip(values).enumerate() {
         if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
             // Cooperative cancellation: stop mid-stream. The partial
-            // column slab is discarded by the budget owner; checkpoints
-            // never panic (a panic would trigger the bitwise serial
-            // *retry* and defeat the cancellation).
-            return (n_checks, n_accums);
+            // slab is discarded by the budget owner; checkpoints never
+            // panic (a panic would trigger the bitwise serial *retry*
+            // and defeat the cancellation).
+            return;
         }
-        // Select-unit precomputation, once per sample per dim.
-        let sel: [DimSelect; D] = core::array::from_fn(|d| {
-            let dd = dec.decompose(dec.quantize(c[d]));
-            DimSelect::compute(dec, lut, &dd)
+        expand_windows(dec, lut, &dec.decompose_sample(c), &mut wins);
+        let slot = |k| rows.slot(dec, k);
+        for_each_point(g, w, &wins, slot, |idx, wt| {
+            slab[idx] += v.scale(T::from_f64(wt));
         });
-        n_checks += my_cols as u64;
-        for (slot, col_buf) in chunk.chunks_mut(col_len).enumerate() {
-            let col = first_col + slot;
-            // Decode column → per-dim pipeline indices.
-            let mut pidx = [0usize; D];
-            let mut rem = col;
-            for d in (0..D).rev() {
-                pidx[d] = rem % t;
-                rem /= t;
-            }
-            let mut wt = 1.0;
-            let mut addr = 0usize;
-            let mut hit = true;
-            for d in 0..D {
-                let sd = &sel[d];
-                let pi = pidx[d];
-                if !sd.affected[pi] {
-                    hit = false;
-                    break;
-                }
-                wt *= sd.weight[pi];
-                addr = addr * tiles + sd.tile[pi] as usize;
-            }
-            if hit {
-                col_buf[addr] += v.scale(T::from_f64(wt));
-                n_accums += 1;
-            }
-        }
     }
-    (n_checks, n_accums)
 }
 
-/// Merge one worker's dice chunk (columns `first_col..`) into the
-/// row-major output. Every (column, tile-address) pair maps to a unique
-/// grid index, so chunks can merge in any order without changing a single
-/// bit of the result.
-fn merge_column_chunk<T: Float, const D: usize>(
-    g: usize,
+/// Merge one job's slab into the row-major output with whole-row adds.
+/// Jobs own disjoint rows, so slabs merge in any order without changing a
+/// single bit of the result.
+fn merge_rows<T: Float>(
     t: usize,
-    tiles: usize,
-    col_len: usize,
-    first_col: usize,
-    chunk: &[Complex<T>],
+    row_len: usize,
+    rows: OwnedRows,
+    slab: &[Complex<T>],
     out: &mut [Complex<T>],
 ) {
-    for (slot, col_buf) in chunk.chunks(col_len).enumerate() {
-        let col = first_col + slot;
-        let mut pidx = [0usize; D];
-        let mut rem = col;
-        for d in (0..D).rev() {
-            pidx[d] = rem % t;
-            rem /= t;
-        }
-        for (addr, &v) in col_buf.iter().enumerate() {
-            let mut q = [0usize; D];
-            let mut rem = addr;
-            for d in (0..D).rev() {
-                q[d] = rem % tiles;
-                rem /= tiles;
-            }
-            let mut idx = 0usize;
-            for d in 0..D {
-                idx = idx * g + q[d] * t + pidx[d];
-            }
-            out[idx] += v;
+    for (s, src) in slab.chunks(row_len).enumerate() {
+        let k = rows.row(t, s);
+        for (o, &v) in out[k * row_len..(k + 1) * row_len].iter_mut().zip(src) {
+            *o += v;
         }
     }
 }
 
-/// Column-owned execution: split the `T^d` dice columns across workers;
-/// every worker scans the full sample stream and accumulates into its
-/// private columns. Deterministic (per-point order = stream order) for
-/// *both* backends and any thread count: the partition only decides which
-/// worker owns a column, never the order of accumulations within it.
-fn grid_columns<T: Float, const D: usize>(
+/// Column-owned execution: split the `T` row-axis pipeline indices into
+/// contiguous ranges, one per job; every job scans the full sample stream
+/// and accumulates into its private rows. Deterministic (per-point order
+/// = stream order) for *both* backends and any thread count: the
+/// partition only decides which job owns a row, never the order of
+/// accumulations within it.
+fn grid_rows<T: Float, const D: usize>(
     p: &GridParams,
     lut: &KernelLut,
     coords: &[[f64; D]],
@@ -286,120 +247,93 @@ fn grid_columns<T: Float, const D: usize>(
     backend: ExecBackend,
 ) -> GridStats {
     let dec = Decomposer::new(p);
-    let g = p.grid;
     let t = p.tile;
-    let tiles = p.tiles_per_dim();
-    let ncols = t.pow(D as u32);
-    let col_len = tiles.pow(D as u32);
-    let nthreads = nthreads.min(ncols).max(1);
-    let cols_per_thread = ncols.div_ceil(nthreads);
-    let njobs = ncols.div_ceil(cols_per_thread);
+    let row_len = p.grid.pow(D as u32 - 1);
+    let rows_per_job = t.div_ceil(nthreads.clamp(1, t));
+    let njobs = t.div_ceil(rows_per_job);
+    let owned = move |k: usize| OwnedRows {
+        lo: (k * rows_per_job) as u32,
+        hi: ((k + 1) * rows_per_job).min(t) as u32,
+    };
+    let rows_len = p.tiles_per_dim() * row_len;
+    let slab_len = move |rows: OwnedRows| (rows.hi - rows.lo) as usize * rows_len;
 
     let start = Instant::now();
-    let mut total_checks = 0u64;
-    let mut total_accums = 0u64;
     match backend {
         ExecBackend::Scoped => {
             // Legacy path: per-call allocation + scoped spawn/join.
-            let mut dice = vec![Complex::<T>::zeroed(); ncols * col_len];
-            let mut checks = vec![0u64; njobs];
-            let mut accums = vec![0u64; njobs];
-            {
-                let dec = &dec;
-                std::thread::scope(|s| {
-                    for ((tid, chunk), (chk, acc)) in dice
-                        .chunks_mut(cols_per_thread * col_len)
-                        .enumerate()
-                        .zip(checks.iter_mut().zip(accums.iter_mut()))
-                    {
-                        let first_col = tid * cols_per_thread;
-                        s.spawn(move || {
-                            let (c, a) = columns_worker(
-                                dec, lut, coords, values, t, tiles, col_len, first_col, chunk,
-                            );
-                            *chk = c;
-                            *acc = a;
-                        });
-                    }
-                });
+            let mut slabs: Vec<Vec<Complex<T>>> = (0..njobs)
+                .map(|k| vec![Complex::zeroed(); slab_len(owned(k))])
+                .collect();
+            std::thread::scope(|s| {
+                for (k, slab) in slabs.iter_mut().enumerate() {
+                    let dec = &dec;
+                    s.spawn(move || rows_worker(dec, lut, coords, values, owned(k), slab));
+                }
+            });
+            for (k, slab) in slabs.iter().enumerate() {
+                merge_rows(t, row_len, owned(k), slab, out);
             }
-            for (tid, chunk) in dice.chunks(cols_per_thread * col_len).enumerate() {
-                merge_column_chunk::<T, D>(g, t, tiles, col_len, tid * cols_per_thread, chunk, out);
-            }
-            total_checks = checks.iter().sum();
-            total_accums = accums.iter().sum();
         }
         ExecBackend::Pooled => {
-            // Persistent path: jobs run on the global pool, column slabs
-            // come from (and return to) the owning worker's scratch arena.
+            // Persistent path: jobs run on the global pool, row slabs come
+            // from (and return to) the owning worker's scratch arena.
             let pool = WorkerPool::global();
             let coords_shared: Arc<[[f64; D]]> = coords.into();
             let values_shared: Arc<[Complex<T>]> = values.into();
             let lut_shared = lut.clone();
             let (tx, rx) = channel();
-            let run = pool.try_run(njobs, move |tid, arena| {
+            let run = pool.try_run(njobs, move |k, arena| {
                 faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let first_col = tid * cols_per_thread;
-                let my_cols = cols_per_thread.min(ncols - first_col);
-                let mut chunk = arena.take_vec(
-                    keys::DICE_COLUMNS,
-                    my_cols * col_len,
-                    Complex::<T>::zeroed(),
-                );
-                let (chk, acc) = columns_worker(
+                let rows = owned(k);
+                let mut slab =
+                    arena.take_vec(keys::DICE_COLUMNS, slab_len(rows), Complex::<T>::zeroed());
+                rows_worker(
                     &dec,
                     &lut_shared,
                     &coords_shared,
                     &values_shared,
-                    t,
-                    tiles,
-                    col_len,
-                    first_col,
-                    &mut chunk,
+                    rows,
+                    &mut slab,
                 );
-                let _ = tx.send((tid, chunk, chk, acc));
+                let _ = tx.send((k, slab));
             });
             if run.is_err() {
                 // Contained job panic. The trait surface is infallible and
-                // column chunks merge only in the drain below (never
-                // reached), so `out` is pristine: redo all columns in one
-                // serial pass — bitwise identical, the partition only
-                // decides ownership.
+                // slabs merge only in the drain below (never reached), so
+                // `out` is pristine: redo all rows in one serial pass —
+                // bitwise identical, the partition only decides ownership.
                 crate::engine::note_serial_fallback("gridding.slice_dice.columns");
                 drop(rx);
-                let dec = Decomposer::new(p);
-                let mut dice = vec![Complex::<T>::zeroed(); ncols * col_len];
-                let (chk, acc) =
-                    columns_worker(&dec, lut, coords, values, t, tiles, col_len, 0, &mut dice);
-                merge_column_chunk::<T, D>(g, t, tiles, col_len, 0, &dice, out);
-                total_checks = chk;
-                total_accums = acc;
+                let all = OwnedRows {
+                    lo: 0,
+                    hi: t as u32,
+                };
+                let mut slab = vec![Complex::<T>::zeroed(); slab_len(all)];
+                rows_worker(&dec, lut, coords, values, all, &mut slab);
+                merge_rows(t, row_len, all, &slab, out);
             } else {
                 for _ in 0..njobs {
-                    let Ok((tid, chunk, chk, acc)) = rx.recv() else {
-                        unreachable!("pooled column job result missing after clean run");
+                    let Ok((k, slab)) = rx.recv() else {
+                        unreachable!("pooled row job result missing after clean run");
                     };
-                    merge_column_chunk::<T, D>(
-                        g,
-                        t,
-                        tiles,
-                        col_len,
-                        tid * cols_per_thread,
-                        &chunk,
-                        out,
-                    );
-                    pool.restore(tid, keys::DICE_COLUMNS, chunk);
-                    total_checks += chk;
-                    total_accums += acc;
+                    merge_rows(t, row_len, owned(k), &slab, out);
+                    pool.restore(k, keys::DICE_COLUMNS, slab);
                 }
             }
         }
     }
+    slice_dice_stats(p, coords.len(), D, start)
+}
+
+/// Counters of every Slice-and-Dice mode: `M·T^d` logical select checks
+/// (what JIGSAW's select units evaluate) and `M·W^d` accumulations.
+fn slice_dice_stats(p: &GridParams, m: usize, d: usize, start: Instant) -> GridStats {
     GridStats {
-        samples: coords.len(),
-        samples_processed: coords.len(),
-        boundary_checks: total_checks,
-        kernel_accumulations: total_accums,
+        samples: m,
+        samples_processed: m,
+        boundary_checks: (m * p.tile.pow(d as u32)) as u64,
+        kernel_accumulations: (m * p.width.pow(d as u32)) as u64,
         presort_seconds: 0.0,
         gridding_seconds: start.elapsed().as_secs_f64(),
         fft_seconds: 0.0,
@@ -510,85 +444,32 @@ fn cas_add_f64(atom: &AtomicU64, v: f64) {
     }
 }
 
-/// Per-sample dice-structured scatter used by the block modes: enumerate
-/// the `W^d` affected (pipeline, tile) pairs straight from the select-unit
-/// view and emit (row-major index, weight) pairs.
-#[inline]
-fn for_each_window_point<const D: usize>(
-    dec: &Decomposer,
-    lut: &KernelLut,
-    coord: &[f64; D],
-    g: usize,
-    t: usize,
-    mut f: impl FnMut(usize, f64),
-) -> u64 {
-    let w = dec.width() as usize;
-    let dds: [DimDecomp; D] = core::array::from_fn(|d| dec.decompose(dec.quantize(coord[d])));
-    // Per dim: the W affected pipelines, their weights and tiles.
-    let mut pidx = [[0u32; 16]; D];
-    let mut wts = [[0.0f64; 16]; D];
-    let mut tls = [[0u32; 16]; D];
-    for d in 0..D {
-        for j in 0..w {
-            let dist = j as u32;
-            // Affected pipeline at forward distance j: p = (rel − j) mod T.
-            let p = (dds[d].rel + t as u32 - dist) % t as u32;
-            pidx[d][j] = p;
-            wts[d][j] = lut.lookup(dec.lut_index(dist, dds[d].phi2));
-            tls[d][j] = dec.tile_for_pipeline(&dds[d], p);
-        }
-    }
-    let mut count = 0u64;
-    let mut sel = [0usize; D];
-    loop {
-        let mut idx = 0usize;
-        let mut wt = 1.0;
-        for d in 0..D {
-            idx = idx * g + tls[d][sel[d]] as usize * t + pidx[d][sel[d]] as usize;
-            wt *= wts[d][sel[d]];
-        }
-        f(idx, wt);
-        count += 1;
-        let mut d = D;
-        loop {
-            if d == 0 {
-                return count;
-            }
-            d -= 1;
-            sel[d] += 1;
-            if sel[d] < w {
-                break;
-            }
-            sel[d] = 0;
-        }
-    }
-}
-
-/// One input-block's job for the atomic mode: grid samples `lo..hi` into
-/// the shared atomic grid. Shared by both backends.
-#[allow(clippy::too_many_arguments)]
+/// One input block's job for the atomic mode: grid a block of samples
+/// into the shared atomic grid. Shared by both backends.
 fn block_atomic_worker<T: AtomicFloat, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
     coords: &[[f64; D]],
     values: &[Complex<T>],
-    g: usize,
-    t: usize,
-    lo: usize,
-    hi: usize,
     shared: &T::Grid,
-) -> u64 {
-    let mut n = 0u64;
-    for i in lo..hi {
-        if (i - lo) & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
-            return n; // cancelled: partial grid discarded by the owner
+) {
+    let (g, w) = (dec.grid() as usize, dec.width() as usize);
+    let mut wins = [DimWindow::default(); D];
+    for (i, (c, &v)) in coords.iter().zip(values).enumerate() {
+        if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
+            return; // cancelled: partial grid discarded by the owner
         }
-        let v = values[i];
-        n += for_each_window_point(dec, lut, &coords[i], g, t, |idx, wt| {
-            T::fetch_add(shared, idx, v.scale(T::from_f64(wt)));
-        });
+        expand_windows(dec, lut, &dec.decompose_sample(c), &mut wins);
+        for_each_point(
+            g,
+            w,
+            &wins,
+            |k| Some(k as usize),
+            |idx, wt| {
+                T::fetch_add(shared, idx, v.scale(T::from_f64(wt)));
+            },
+        );
     }
-    n
 }
 
 /// Block-parallel execution with atomic accumulation (the GPU scheme).
@@ -603,36 +484,20 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
-    let g = p.grid;
-    let t = p.tile;
     let start = Instant::now();
     let m = coords.len();
     let nthreads = nthreads.min(m.max(1)).max(1);
-    let chunk = m.div_ceil(nthreads);
-    let total_accums: u64;
+    let chunk = m.div_ceil(nthreads).max(1);
     let mut shared = Arc::new(T::alloc_grid(npoints));
     match backend {
         ExecBackend::Scoped => {
-            let mut accums = vec![0u64; nthreads];
-            {
-                let dec = &dec;
-                let shared = &*shared;
-                std::thread::scope(|s| {
-                    for (tid, acc) in accums.iter_mut().enumerate() {
-                        let lo = tid * chunk;
-                        let hi = ((tid + 1) * chunk).min(m);
-                        if lo >= hi {
-                            continue;
-                        }
-                        s.spawn(move || {
-                            *acc = block_atomic_worker::<T, D>(
-                                dec, lut, coords, values, g, t, lo, hi, shared,
-                            );
-                        });
-                    }
-                });
-            }
-            total_accums = accums.iter().sum();
+            let dec = &dec;
+            let shared = &*shared;
+            std::thread::scope(|s| {
+                for (c, v) in coords.chunks(chunk).zip(values.chunks(chunk)) {
+                    s.spawn(move || block_atomic_worker::<T, D>(dec, lut, c, v, shared));
+                }
+            });
         }
         ExecBackend::Pooled => {
             let pool = WorkerPool::global();
@@ -640,81 +505,50 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
             let values_shared: Arc<[Complex<T>]> = values.into();
             let lut_shared = lut.clone();
             let shared_jobs = Arc::clone(&shared);
-            let (tx, rx) = channel();
             let run = pool.try_run(nthreads, move |tid, _arena| {
                 faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let lo = tid * chunk;
+                let lo = (tid * chunk).min(m);
                 let hi = ((tid + 1) * chunk).min(m);
-                let n = if lo < hi {
-                    block_atomic_worker::<T, D>(
-                        &dec,
-                        &lut_shared,
-                        &coords_shared,
-                        &values_shared,
-                        g,
-                        t,
-                        lo,
-                        hi,
-                        &shared_jobs,
-                    )
-                } else {
-                    0
-                };
-                let _ = tx.send(n);
+                block_atomic_worker::<T, D>(
+                    &dec,
+                    &lut_shared,
+                    &coords_shared[lo..hi],
+                    &values_shared[lo..hi],
+                    &shared_jobs,
+                );
             });
             if run.is_err() {
                 // Contained job panic. Surviving jobs accumulated into the
                 // shared atomic grid, so discard it wholesale and redo all
                 // blocks in one serial pass over a fresh grid.
                 crate::engine::note_serial_fallback("gridding.slice_dice.atomic");
-                drop(rx);
                 shared = Arc::new(T::alloc_grid(npoints));
-                let dec = Decomposer::new(p);
-                total_accums =
-                    block_atomic_worker::<T, D>(&dec, lut, coords, values, g, t, 0, m, &shared);
-            } else {
-                total_accums = (0..nthreads).map(|_| rx.recv().unwrap_or(0)).sum();
+                block_atomic_worker::<T, D>(&dec, lut, coords, values, &shared);
             }
         }
     }
     T::drain(&shared, out);
-    GridStats {
-        samples: m,
-        samples_processed: m,
-        boundary_checks: (m * p.tile.pow(D as u32)) as u64,
-        kernel_accumulations: total_accums,
-        presort_seconds: 0.0,
-        gridding_seconds: start.elapsed().as_secs_f64(),
-        fft_seconds: 0.0,
-        apod_seconds: 0.0,
-    }
+    slice_dice_stats(p, m, D, start)
 }
 
-/// One input-block's job for the reduce mode: grid samples `lo..hi` into
-/// a private partial grid. Shared by both backends.
-#[allow(clippy::too_many_arguments)]
+/// One input block's job for the reduce mode: grid a block of samples
+/// into a private partial grid. Shared by both backends.
 fn block_reduce_worker<T: Float, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
     coords: &[[f64; D]],
     values: &[Complex<T>],
-    g: usize,
-    t: usize,
-    lo: usize,
-    hi: usize,
     partial: &mut [Complex<T>],
-) -> u64 {
-    let mut n = 0u64;
-    for i in lo..hi {
-        if (i - lo) & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
-            return n; // cancelled: partial grid discarded by the owner
+) {
+    let (g, w) = (dec.grid() as usize, dec.width() as usize);
+    let mut wins = [DimWindow::default(); D];
+    for (i, (c, &v)) in coords.iter().zip(values).enumerate() {
+        if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
+            return; // cancelled: partial grid discarded by the owner
         }
-        let v = values[i];
-        n += for_each_window_point(dec, lut, &coords[i], g, t, |idx, wt| {
-            partial[idx] += v.scale(T::from_f64(wt));
-        });
+        expand_windows(dec, lut, &dec.decompose_sample(c), &mut wins);
+        scatter_rowmajor(g, w, &wins, v, partial);
     }
-    n
 }
 
 /// Block-parallel execution with private grids + deterministic merge.
@@ -734,40 +568,37 @@ fn grid_block_reduce<T: Float, const D: usize>(
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
-    let g = p.grid;
-    let t = p.tile;
     let m = coords.len();
     let nthreads = nthreads.min(m.max(1)).max(1);
     let chunk = m.div_ceil(nthreads);
     let start = Instant::now();
-    let total_accums: u64;
+    let block = move |tid: usize| (tid * chunk).min(m)..((tid + 1) * chunk).min(m);
+    let merge = |out: &mut [Complex<T>], partial: &[Complex<T>]| {
+        for (o, &v) in out.iter_mut().zip(partial) {
+            *o += v;
+        }
+    };
     match backend {
         ExecBackend::Scoped => {
             let mut partials: Vec<Vec<Complex<T>>> = Vec::with_capacity(nthreads);
             partials.resize_with(nthreads, || vec![Complex::zeroed(); npoints]);
-            let mut accums = vec![0u64; nthreads];
-            {
-                let dec = &dec;
-                std::thread::scope(|s| {
-                    for (tid, (partial, acc)) in
-                        partials.iter_mut().zip(accums.iter_mut()).enumerate()
-                    {
-                        let lo = tid * chunk;
-                        let hi = ((tid + 1) * chunk).min(m);
-                        s.spawn(move || {
-                            *acc = block_reduce_worker::<T, D>(
-                                dec, lut, coords, values, g, t, lo, hi, partial,
-                            );
-                        });
-                    }
-                });
-            }
-            for partial in &partials {
-                for (o, &v) in out.iter_mut().zip(partial) {
-                    *o += v;
+            std::thread::scope(|s| {
+                for (tid, partial) in partials.iter_mut().enumerate() {
+                    let (dec, r) = (&dec, block(tid));
+                    s.spawn(move || {
+                        block_reduce_worker::<T, D>(
+                            dec,
+                            lut,
+                            &coords[r.clone()],
+                            &values[r],
+                            partial,
+                        )
+                    });
                 }
+            });
+            for partial in &partials {
+                merge(out, partial);
             }
-            total_accums = accums.iter().sum();
         }
         ExecBackend::Pooled => {
             let pool = WorkerPool::global();
@@ -777,22 +608,17 @@ fn grid_block_reduce<T: Float, const D: usize>(
             let (tx, rx) = channel();
             let run = pool.try_run(nthreads, move |tid, arena| {
                 faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let lo = tid * chunk;
-                let hi = ((tid + 1) * chunk).min(m);
+                let r = block(tid);
                 let mut partial =
                     arena.take_vec(keys::PARTIAL_GRID, npoints, Complex::<T>::zeroed());
-                let n = block_reduce_worker::<T, D>(
+                block_reduce_worker::<T, D>(
                     &dec,
                     &lut_shared,
-                    &coords_shared,
-                    &values_shared,
-                    g,
-                    t,
-                    lo,
-                    hi,
+                    &coords_shared[r.clone()],
+                    &values_shared[r],
                     &mut partial,
                 );
-                let _ = tx.send((tid, partial, n));
+                let _ = tx.send((tid, partial));
             });
             if run.is_err() {
                 // Contained job panic. Partials merge into `out` only in
@@ -800,49 +626,22 @@ fn grid_block_reduce<T: Float, const D: usize>(
                 // sample range in one serial block.
                 crate::engine::note_serial_fallback("gridding.slice_dice.blocks");
                 drop(rx);
-                let dec = Decomposer::new(p);
                 let mut partial = vec![Complex::<T>::zeroed(); npoints];
-                total_accums = block_reduce_worker::<T, D>(
-                    &dec,
-                    lut,
-                    coords,
-                    values,
-                    g,
-                    t,
-                    0,
-                    m,
-                    &mut partial,
-                );
-                for (o, &v) in out.iter_mut().zip(&partial) {
-                    *o += v;
-                }
+                block_reduce_worker::<T, D>(&dec, lut, coords, values, &mut partial);
+                merge(out, &partial);
             } else {
                 // Deterministic merge: collect all partials, then fold them
                 // in block (tid) order exactly as the scoped path does.
-                let mut results: Vec<(usize, Vec<Complex<T>>, u64)> = rx.iter().collect();
-                results.sort_unstable_by_key(|(tid, _, _)| *tid);
-                let mut n = 0u64;
-                for (tid, partial, acc) in results {
-                    for (o, &v) in out.iter_mut().zip(&partial) {
-                        *o += v;
-                    }
+                let mut results: Vec<(usize, Vec<Complex<T>>)> = rx.iter().collect();
+                results.sort_unstable_by_key(|(tid, _)| *tid);
+                for (tid, partial) in results {
+                    merge(out, &partial);
                     pool.restore(tid, keys::PARTIAL_GRID, partial);
-                    n += acc;
                 }
-                total_accums = n;
             }
         }
     }
-    GridStats {
-        samples: m,
-        samples_processed: m,
-        boundary_checks: (m * p.tile.pow(D as u32)) as u64,
-        kernel_accumulations: total_accums,
-        presort_seconds: 0.0,
-        gridding_seconds: start.elapsed().as_secs_f64(),
-        fft_seconds: 0.0,
-        apod_seconds: 0.0,
-    }
+    slice_dice_stats(p, m, D, start)
 }
 
 #[cfg(test)]

@@ -12,30 +12,15 @@
 
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
-use crate::gridding::{sample_windows, worker_threads, DimWindow, MAX_W};
+use crate::gridding::{expand_windows, worker_threads, DimWindow};
 use crate::lut::KernelLut;
 use crate::{Error, Result};
 use jigsaw_num::{Complex, Float};
 
-/// Gather one sample's value from the grid.
-#[inline]
-fn gather_sample<T: Float, const D: usize>(
-    dec: &Decomposer,
-    lut: &KernelLut,
-    grid: &[Complex<T>],
-    g: usize,
-    w: usize,
-    coord: &[f64; D],
-) -> Complex<T> {
-    let (wins, _) = sample_windows(dec, lut, coord);
-    gather_from_windows(grid, g, w, &wins)
-}
-
-/// Gather one sample's value from the grid given *precomputed* per-dim
-/// windows (see [`crate::nufft::PlannedTrajectory`]): the kernel-weighted
-/// sum of the `W^d` window points, accumulated in exactly the order the
-/// on-the-fly path uses, so planned and unplanned gathers are bitwise
-/// identical.
+/// Gather one sample's value from the grid given its expanded per-dim
+/// windows ([`crate::gridding::expand_windows`]): the kernel-weighted sum
+/// of the `W^d` window points. The planned and unplanned forward paths
+/// both gather through here, so they are bitwise identical.
 #[inline]
 pub fn gather_from_windows<T: Float, const D: usize>(
     grid: &[Complex<T>],
@@ -128,31 +113,28 @@ pub fn interpolate<T: Float, const D: usize>(
     if grid.len() != p.grid.pow(D as u32) {
         return Err(Error::Data("grid buffer size mismatch".into()));
     }
-    if p.width > MAX_W {
-        return Err(Error::Config(format!("window width > {MAX_W}")));
-    }
     for (i, c) in coords.iter().enumerate() {
         if c.iter().any(|x| !x.is_finite()) {
             return Err(Error::Data(format!("non-finite coordinate at sample {i}")));
         }
     }
     let dec = Decomposer::new(p);
+    let gather = |out: &mut [Complex<T>], coords: &[[f64; D]]| {
+        let mut wins = [DimWindow::default(); D];
+        for (o, c) in out.iter_mut().zip(coords) {
+            expand_windows(&dec, lut, &dec.decompose_sample(c), &mut wins);
+            *o = gather_from_windows(grid, p.grid, p.width, &wins);
+        }
+    };
     let nthreads = worker_threads(threads).min(out.len().max(1)).max(1);
     if nthreads == 1 {
-        for (o, c) in out.iter_mut().zip(coords) {
-            *o = gather_sample(&dec, lut, grid, p.grid, p.width, c);
-        }
+        gather(out, coords);
     } else {
         let chunk = out.len().div_ceil(nthreads);
-        let dec = &dec;
+        let gather = &gather;
         std::thread::scope(|s| {
-            for (tid, o_chunk) in out.chunks_mut(chunk).enumerate() {
-                let c_chunk = &coords[tid * chunk..(tid * chunk + o_chunk.len())];
-                s.spawn(move || {
-                    for (o, c) in o_chunk.iter_mut().zip(c_chunk) {
-                        *o = gather_sample(dec, lut, grid, p.grid, p.width, c);
-                    }
-                });
+            for (o_chunk, c_chunk) in out.chunks_mut(chunk).zip(coords.chunks(chunk)) {
+                s.spawn(move || gather(o_chunk, c_chunk));
             }
         });
     }

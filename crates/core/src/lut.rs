@@ -12,6 +12,7 @@
 //! folds to `min(t, WL − t)`.
 
 use crate::config::GridParams;
+use crate::decomp::lut_index;
 use crate::kernel::KernelKind;
 use std::sync::Arc;
 
@@ -29,6 +30,10 @@ pub struct KernelLut {
     w: usize,
     l: usize,
     weights: Arc<[f64]>,
+    /// Row `φ₂ ∈ [0, 2L)` holds, for window point `j`, the weight at
+    /// unfolded index `lut_index(L, j, φ₂)`: a window with half-LUT
+    /// offset `φ₂` takes its `W` weights from one contiguous row.
+    phases: Arc<[f64]>,
 }
 
 impl KernelLut {
@@ -36,10 +41,26 @@ impl KernelLut {
     /// table oversampling factor `l`.
     pub fn build(kernel: &KernelKind, w: usize, l: usize) -> Self {
         let wl = w * l;
-        let weights = (0..=wl / 2)
+        let weights: Arc<[f64]> = (0..=wl / 2)
             .map(|s| kernel.eval(s as f64 / l as f64 - w as f64 / 2.0, w))
             .collect();
-        Self { w, l, weights }
+        let phases = (0..2 * l as u32)
+            .flat_map(|phi2| (0..w as u32).map(move |j| lut_index(l as u32, j, phi2) as usize))
+            .map(|t| weights[t.min(wl - t)])
+            .collect();
+        Self {
+            w,
+            l,
+            weights,
+            phases,
+        }
+    }
+
+    /// The `W` weights of a window with half-LUT offset `phi2`, in window
+    /// point order (see [`crate::decomp::Decomposer::lut_index`]).
+    #[inline]
+    pub fn window_weights(&self, phi2: u32) -> &[f64] {
+        &self.phases[phi2 as usize * self.w..][..self.w]
     }
 
     /// Build from grid parameters.
@@ -150,6 +171,20 @@ mod tests {
         assert_eq!(lut.lookup(wl as u32 / 2), 1.0);
         for t in 0..=wl as u32 {
             assert!(lut.lookup(t) <= 1.0);
+        }
+    }
+
+    #[test]
+    fn window_rows_equal_folded_lookups() {
+        for (w, l) in [(6, 32), (5, 1), (8, 4), (1, 2)] {
+            let lut = KernelLut::build(&KernelKind::Auto.resolve(w, 2.0), w, l);
+            for phi2 in 0..2 * l as u32 {
+                let row = lut.window_weights(phi2);
+                for (j, &wt) in row.iter().enumerate() {
+                    let t = lut_index(l as u32, j as u32, phi2);
+                    assert_eq!(wt.to_bits(), lut.lookup(t).to_bits(), "W={w} L={l}");
+                }
+            }
         }
     }
 

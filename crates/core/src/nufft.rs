@@ -9,12 +9,13 @@
 //!
 //! For multi-coil MRI (§II-A: "each of the C receive coils acquires the
 //! same k-space trajectory") the plan additionally supports *planned*
-//! batched execution: [`NufftPlan::plan_trajectory`] performs the
-//! per-sample window decomposition (the div/mod/LUT work of §III) once,
+//! batched execution: [`NufftPlan::plan_trajectory`] maps and quantizes
+//! every coordinate into its integer window decomposition (§III) once,
 //! and [`NufftPlan::adjoint_batch_planned`] /
-//! [`NufftPlan::forward_batch_planned`] stream every coil through the
-//! cached windows on the persistent [`crate::engine::WorkerPool`], one
-//! coil per pooled job with an arena-recycled grid buffer each.
+//! [`NufftPlan::forward_batch_planned`] stream every coil through it on
+//! the persistent [`crate::engine::WorkerPool`], expanding each sample's
+//! window as they go, one coil per pooled job with an arena-recycled grid
+//! buffer each.
 //!
 //! Conventions (`ν` in cycles, image indices `k ∈ [−N/2, N/2)^d`):
 //!
@@ -23,10 +24,10 @@
 
 use crate::apod::Apodization;
 use crate::config::{GridParams, NufftConfig};
-use crate::decomp::Decomposer;
+use crate::decomp::{Decomposer, DimDecomp};
 use crate::engine::{keys, WorkerPool};
 use crate::gridding::slice_dice::CANCEL_CHECK_MASK;
-use crate::gridding::{sample_windows, scatter_rowmajor, DimWindow, Gridder};
+use crate::gridding::{expand_windows, scatter_rowmajor, DimWindow, Gridder};
 use crate::interp::{self, gather_from_windows};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
@@ -93,38 +94,34 @@ pub struct ForwardOutput<T> {
 /// A trajectory whose per-sample window decomposition has been computed
 /// once and cached for reuse across coils/frames.
 ///
-/// Produced by [`NufftPlan::plan_trajectory`]. Holds the mapped
-/// (oversampled-grid-unit) coordinates and, for every sample, the `D`
-/// per-dimension index/weight windows that both the adjoint scatter and
-/// the forward gather consume. Sharing is `Arc`-based, so cloning the
-/// trajectory (or capturing it in pooled jobs) is `O(1)`.
+/// Produced by [`NufftPlan::plan_trajectory`]. Holds, for every sample,
+/// its integer decomposition — window base and half-LUT offset per
+/// dimension, 8 bytes each — from which the adjoint scatter and the
+/// forward gather expand the `W` indices and weights per dimension as
+/// they stream. Sharing is `Arc`-based, so cloning the trajectory (or
+/// capturing it in pooled jobs) is `O(1)`.
 #[derive(Debug, Clone)]
 pub struct PlannedTrajectory<const D: usize> {
-    mapped: Arc<[[f64; D]]>,
-    windows: Arc<[[DimWindow; D]]>,
+    decomps: Arc<[[DimDecomp; D]]>,
     grid: usize,
     width: usize,
+    table_oversampling: usize,
     plan_seconds: f64,
 }
 
 impl<const D: usize> PlannedTrajectory<D> {
     /// Number of planned samples.
     pub fn len(&self) -> usize {
-        self.mapped.len()
+        self.decomps.len()
     }
 
     /// Whether the trajectory is empty.
     pub fn is_empty(&self) -> bool {
-        self.mapped.is_empty()
+        self.decomps.is_empty()
     }
 
-    /// Mapped coordinates in oversampled-grid units (`u = (ν mod 1)·G`).
-    pub fn mapped_coords(&self) -> &[[f64; D]] {
-        &self.mapped
-    }
-
-    /// Seconds spent planning (coordinate mapping + window decomposition)
-    /// — the one-time cost amortized over every batched coil.
+    /// Seconds spent planning (coordinate mapping + decomposition) — the
+    /// one-time cost amortized over every batched coil.
     pub fn plan_seconds(&self) -> f64 {
         self.plan_seconds
     }
@@ -660,39 +657,44 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
 
     /// Precompute the per-sample window decomposition for a trajectory.
     ///
-    /// This runs the quantize → div/mod-`T` decompose → LUT-lookup stage
-    /// (§III) exactly once per sample; the result can then drive any
-    /// number of [`Self::adjoint_batch_planned`] /
-    /// [`Self::forward_batch_planned`] calls without repeating that work.
-    /// Scatter via the cached windows visits grid points in the same
-    /// order as [`crate::gridding::SerialGridder`], so planned outputs
-    /// are bitwise identical to unplanned serial ones.
+    /// This runs the map → quantize → decompose stage (§III) exactly once
+    /// per sample; the result can then drive any number of
+    /// [`Self::adjoint_batch_planned`] / [`Self::forward_batch_planned`]
+    /// calls without repeating that work. Both expand each sample's
+    /// windows with [`expand_windows`], the function the unplanned
+    /// engines use, and visit grid points in the same order as
+    /// [`crate::gridding::SerialGridder`], so planned outputs are bitwise
+    /// identical to unplanned serial ones.
     pub fn plan_trajectory(&self, coords: &[[f64; D]]) -> Result<PlannedTrajectory<D>> {
         Self::check_finite(coords)?;
         let _span = telemetry::span!("nufft.plan_trajectory", { dim: D, m: coords.len() });
         let t0 = Instant::now();
-        let mapped = self.inner.map_coords(coords);
-        let dec = Decomposer::new(&self.inner.params);
-        let windows: Vec<[DimWindow; D]> = mapped
+        let p = &self.inner.params;
+        let dec = Decomposer::new(p);
+        let g = p.grid as f64;
+        // The same `u = (ν mod 1)·G` as `map_coords`, without the
+        // intermediate buffer.
+        let decomps: Vec<[DimDecomp; D]> = coords
             .iter()
-            .map(|c| sample_windows(&dec, &self.inner.lut, c).0)
+            .map(|c| dec.decompose_sample(&core::array::from_fn(|d| c[d].rem_euclid(1.0) * g)))
             .collect();
-        let plan_seconds = t0.elapsed().as_secs_f64();
         Ok(PlannedTrajectory {
-            mapped: mapped.into(),
-            windows: windows.into(),
-            grid: self.inner.params.grid,
-            width: self.inner.params.width,
-            plan_seconds,
+            decomps: decomps.into(),
+            grid: p.grid,
+            width: p.width,
+            table_oversampling: p.table_oversampling,
+            plan_seconds: t0.elapsed().as_secs_f64(),
         })
     }
 
     /// Check a planned trajectory was built against this plan's geometry.
     fn check_traj(&self, traj: &PlannedTrajectory<D>) -> Result<()> {
-        if traj.grid != self.inner.params.grid || traj.width != self.inner.params.width {
+        let p = &self.inner.params;
+        let planned = (traj.grid, traj.width, traj.table_oversampling);
+        let ours = (p.grid, p.width, p.table_oversampling);
+        if planned != ours {
             return Err(Error::Config(format!(
-                "planned trajectory (G = {}, W = {}) does not match plan (G = {}, W = {})",
-                traj.grid, traj.width, self.inner.params.grid, self.inner.params.width
+                "planned trajectory (G, W, L) = {planned:?} does not match plan {ours:?}"
             )));
         }
         Ok(())
@@ -706,9 +708,9 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
     ///
     /// Each coil's image is bitwise identical to
     /// `self.adjoint(coords, coil, &SerialGridder)` because the scatter
-    /// consumes the cached windows in sample order. `timings.prep_seconds`
-    /// is zero here — the mapping/decomposition cost lives in
-    /// [`PlannedTrajectory::plan_seconds`], paid once.
+    /// expands the same windows and consumes them in sample order.
+    /// `timings.prep_seconds` is zero here — the mapping/decomposition
+    /// cost lives in [`PlannedTrajectory::plan_seconds`], paid once.
     pub fn adjoint_batch_planned(
         &self,
         traj: &PlannedTrajectory<D>,
@@ -740,7 +742,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         });
         let pool = WorkerPool::global();
         let inner = Arc::clone(&self.inner);
-        let windows = Arc::clone(&traj.windows);
+        let decomps = Arc::clone(&traj.decomps);
+        let dec = Decomposer::new(&self.inner.params);
         let coils: Vec<Arc<[Complex<T>]>> = batches.iter().map(|b| Arc::from(*b)).collect();
         let (tx, rx) = channel();
         let run = pool.try_run(njobs, move |c, arena| {
@@ -750,7 +753,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             let mut grid = arena.take_vec(keys::COIL_GRID, npoints, Complex::<T>::zeroed());
             let t1 = Instant::now();
             let mut cancelled_early = false;
-            for (i, (wins, &v)) in windows.iter().zip(values.iter()).enumerate() {
+            let mut wins = [DimWindow::default(); D];
+            for (i, (dds, &v)) in decomps.iter().zip(values.iter()).enumerate() {
                 if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
                     // Cooperative cancellation: stop scattering mid-coil
                     // and skip the FFT/de-apodization entirely. The coil
@@ -759,7 +763,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                     cancelled_early = true;
                     break;
                 }
-                scatter_rowmajor(g, w, wins, v, &mut grid);
+                expand_windows(&dec, &inner.lut, dds, &mut wins);
+                scatter_rowmajor(g, w, &wins, v, &mut grid);
             }
             let interp_seconds = t1.elapsed().as_secs_f64();
             let finished = if cancelled_early {
@@ -775,9 +780,9 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             }
             // A coil job panicked (contained by the pool, which stays
             // alive; the poisoned worker's scratch was discarded). Coil
-            // outputs are independent and the scatter consumes the cached
-            // windows in sample order, so the serial recompute below is
-            // bitwise identical to an unfaulted pooled run.
+            // outputs are independent and the scatter consumes the planned
+            // samples in order, so the serial recompute below is bitwise
+            // identical to an unfaulted pooled run.
             crate::engine::note_serial_fallback("nufft.adjoint_batch_planned");
             drop(rx);
             return self.adjoint_batch_planned_serial(traj, batches);
@@ -816,8 +821,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
 
     /// Single-threaded recompute of [`Self::adjoint_batch_planned`] — the
     /// graceful-degradation path after a pooled coil job fails. Bitwise
-    /// identical to the pooled path: the scatter consumes the cached
-    /// windows in sample order, and every post-gridding stage is bitwise
+    /// identical to the pooled path: the scatter consumes the planned
+    /// samples in order, and every post-gridding stage is bitwise
     /// invariant across executors.
     fn adjoint_batch_planned_serial(
         &self,
@@ -829,14 +834,17 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         let npoints = g.pow(D as u32);
         let m = traj.len();
         let kernel_accums = (m as u64) * (w as u64).pow(D as u32);
+        let dec = Decomposer::new(&self.inner.params);
         let mut grid = vec![Complex::<T>::zeroed(); npoints];
+        let mut wins = [DimWindow::default(); D];
         let mut out = Vec::with_capacity(batches.len());
         for (c, values) in batches.iter().enumerate() {
             let _coil_span = telemetry::span!("nufft.coil_adjoint", { coil: c, m: m });
             grid.fill(Complex::zeroed());
             let t1 = Instant::now();
-            for (wins, &v) in traj.windows.iter().zip(values.iter()) {
-                scatter_rowmajor(g, w, wins, v, &mut grid);
+            for (dds, &v) in traj.decomps.iter().zip(values.iter()) {
+                expand_windows(&dec, &self.inner.lut, dds, &mut wins);
+                scatter_rowmajor(g, w, &wins, v, &mut grid);
             }
             let interp_seconds = t1.elapsed().as_secs_f64();
             let (image, mut timings) = self.inner.finish_adjoint(&mut grid)?;
@@ -861,7 +869,7 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
 
     /// Batched forward NuFFT over a planned trajectory: one image per
     /// pooled job, each embedding + FFT-ing into an arena-recycled grid
-    /// and gathering every sample via the cached windows.
+    /// and gathering every sample through its expanded windows.
     ///
     /// Each output is bitwise identical to `self.forward(image, coords)`
     /// because [`gather_from_windows`] accumulates in the same order as
@@ -898,7 +906,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         });
         let pool = WorkerPool::global();
         let inner = Arc::clone(&self.inner);
-        let windows = Arc::clone(&traj.windows);
+        let decomps = Arc::clone(&traj.decomps);
+        let dec = Decomposer::new(&self.inner.params);
         let imgs: Vec<Arc<[Complex<T>]>> = images.iter().map(|b| Arc::from(*b)).collect();
         let (tx, rx) = channel();
         let run = pool.try_run(njobs, move |j, arena| {
@@ -915,16 +924,18 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             }
             let fft_seconds = t1.elapsed().as_secs_f64();
             let t2 = Instant::now();
-            let mut samples: Vec<Complex<T>> = Vec::with_capacity(windows.len());
+            let mut samples: Vec<Complex<T>> = Vec::with_capacity(decomps.len());
             let mut cancelled_early = false;
-            for (i, wins) in windows.iter().enumerate() {
+            let mut wins = [DimWindow::default(); D];
+            for (i, dds) in decomps.iter().enumerate() {
                 if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
                     // Cooperative cancellation mid-gather: report a Budget
                     // error instead of a truncated sample vector.
                     cancelled_early = true;
                     break;
                 }
-                samples.push(gather_from_windows::<T, D>(&grid, g, w, wins));
+                expand_windows(&dec, &inner.lut, dds, &mut wins);
+                samples.push(gather_from_windows::<T, D>(&grid, g, w, &wins));
             }
             let interp_seconds = t2.elapsed().as_secs_f64();
             let result = if cancelled_early {
@@ -980,7 +991,9 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         let g = self.inner.params.grid;
         let w = self.inner.params.width;
         let npoints = g.pow(D as u32);
+        let dec = Decomposer::new(&self.inner.params);
         let mut grid = vec![Complex::<T>::zeroed(); npoints];
+        let mut wins = [DimWindow::default(); D];
         let mut out = Vec::with_capacity(images.len());
         for (j, img) in images.iter().enumerate() {
             let _img_span = telemetry::span!("nufft.coil_forward", { image: j });
@@ -996,9 +1009,12 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             let fft_seconds = t1.elapsed().as_secs_f64();
             let t2 = Instant::now();
             let samples: Vec<Complex<T>> = traj
-                .windows
+                .decomps
                 .iter()
-                .map(|wins| gather_from_windows::<T, D>(&grid, g, w, wins))
+                .map(|dds| {
+                    expand_windows(&dec, &self.inner.lut, dds, &mut wins);
+                    gather_from_windows::<T, D>(&grid, g, w, &wins)
+                })
                 .collect();
             let interp_seconds = t2.elapsed().as_secs_f64();
             out.push(ForwardOutput {
@@ -1362,8 +1378,26 @@ mod tests {
         let other = NufftPlan::<f64, 2>::new(NufftConfig::with_n(32)).unwrap();
         let foreign = other.plan_trajectory(&coords).unwrap();
         assert!(plan.adjoint_batch_planned(&foreign, &[]).is_err());
+        let mut cfg = NufftConfig::with_n(n);
+        cfg.table_oversampling = 16;
+        let coarse = NufftPlan::<f64, 2>::new(cfg).unwrap();
+        let foreign = coarse.plan_trajectory(&coords).unwrap();
+        assert!(plan.forward_batch_planned(&[], &foreign).is_err());
         // Non-finite coordinates rejected at planning time.
         assert!(plan.plan_trajectory(&[[f64::NAN, 0.0]]).is_err());
+    }
+
+    #[test]
+    fn planned_sample_is_eight_bytes_per_dimension() {
+        // A plan stores each sample's decomposition, never its expanded
+        // windows: 8 bytes per dimension whatever W is.
+        fn stored<const D: usize>(coords: &[[f64; D]]) -> usize {
+            let plan = NufftPlan::<f64, D>::new(NufftConfig::with_n(16)).unwrap();
+            std::mem::size_of_val(&plan.plan_trajectory(coords).unwrap().decomps[0])
+        }
+        assert_eq!(stored(&[[0.1]]), 8);
+        assert_eq!(stored(&[[0.1, -0.2]]), 16);
+        assert_eq!(stored(&[[0.1, -0.2, 0.3]]), 24);
     }
 
     #[test]

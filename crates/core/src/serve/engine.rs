@@ -414,17 +414,40 @@ mod tests {
     #[test]
     fn watchdog_style_cancellation_stops_a_job_mid_run() {
         let engine = ServeEngine::new(2);
-        // A large job (256² grid, thousands of samples) so the numeric
-        // body is comfortably longer than the cancellation delay.
         let req = radial_request(41, 256, 5);
         let budget = RunBudget::unlimited();
-        let flag = budget.cancel_flag();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            flag.cancel();
+        // Hold pool worker 0, where the job's single coil runs, so the
+        // job cannot finish gridding before the cancel lands. The cancel
+        // fires once planning has filled the cache, and only then is the
+        // worker released: the job stops at the post-planning check or at
+        // the first gridding checkpoint — mid-run by construction.
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let release = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let gate = Arc::clone(&release);
+        let holder = std::thread::spawn(move || {
+            crate::engine::WorkerPool::global().run(1, move |_, _| {
+                let _ = held_tx.send(());
+                let (open, cv) = &*gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            });
         });
-        let e = engine.execute(&req, &budget).unwrap_err();
-        canceller.join().unwrap();
+        held_rx.recv().unwrap();
+        let flag = budget.cancel_flag();
+        let e = std::thread::scope(|s| {
+            s.spawn(|| {
+                while engine.cache().is_empty() {
+                    std::thread::yield_now();
+                }
+                flag.cancel();
+                *release.0.lock().unwrap() = true;
+                release.1.notify_all();
+            });
+            engine.execute(&req, &budget).unwrap_err()
+        });
+        holder.join().unwrap();
         assert_eq!(e.tag, 41);
         assert_eq!(e.category, ErrorCategory::Budget);
         // Same engine afterwards: a fresh budget runs the job cleanly —

@@ -275,14 +275,14 @@ pub fn replay_slice_dice(
             let mut lut_addrs = Vec::with_capacity(2 * (w * w) as usize);
             let mut grid_addrs = Vec::with_capacity((w * w) as usize);
             for py in 0..t {
-                let dist_y = dec.forward_distance(dy.rel, py);
+                let dist_y = dec.forward_distance(dec.rel_coord(&dy), py);
                 if dist_y >= w {
                     continue;
                 }
                 let ty = dec.tile_for_pipeline(&dy, py);
                 let t_y = dec.fold(dec.lut_index(dist_y, dy.phi2)) as u64;
                 for px in 0..t {
-                    let dist_x = dec.forward_distance(dx.rel, px);
+                    let dist_x = dec.forward_distance(dec.rel_coord(&dx), px);
                     if dist_x >= w {
                         continue;
                     }

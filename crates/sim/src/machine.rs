@@ -234,14 +234,14 @@ impl Jigsaw2d {
         // Widen the sample once (input register).
         let wide = CFx32::<16>::new(s.value.re.widen(), s.value.im.widen());
         for py in 0..t {
-            let dist_y = self.dec.forward_distance(dy.rel, py);
+            let dist_y = self.dec.forward_distance(self.dec.rel_coord(&dy), py);
             if dist_y >= w {
                 continue;
             }
             let ty = self.dec.tile_for_pipeline(&dy, py);
             let wy = self.lut.read(self.dec.lut_index(dist_y, dy.phi2));
             for px in 0..t {
-                let dist_x = self.dec.forward_distance(dx.rel, px);
+                let dist_x = self.dec.forward_distance(self.dec.rel_coord(&dx), px);
                 if dist_x >= w {
                     continue;
                 }
@@ -320,8 +320,8 @@ impl Jigsaw2d {
                     let dy = self.dec.decompose(fl.sample.coord[0]);
                     let dx = self.dec.decompose(fl.sample.coord[1]);
                     fl.sel = Some(SelectOut {
-                        rel: [dy.rel, dx.rel],
-                        tile: [dy.tile, dx.tile],
+                        rel: [self.dec.rel_coord(&dy), self.dec.rel_coord(&dx)],
+                        tile: [self.dec.tile_coord(&dy), self.dec.tile_coord(&dx)],
                         phi2: [dy.phi2, dx.phi2],
                     });
                 } else if age == 6 && fl.weight.is_none() {

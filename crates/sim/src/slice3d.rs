@@ -184,7 +184,7 @@ impl Jigsaw3dSlice {
                 ops.select_checks += (t * t) as u64;
                 let wide = CFx32::<16>::new(s.value.re.widen(), s.value.im.widen());
                 for py in 0..t {
-                    let dist_y = self.dec.forward_distance(dy.rel, py);
+                    let dist_y = self.dec.forward_distance(self.dec.rel_coord(&dy), py);
                     if dist_y >= w {
                         continue;
                     }
@@ -192,7 +192,7 @@ impl Jigsaw3dSlice {
                     let wy = self.lut.read(self.dec.lut_index(dist_y, dy.phi2));
                     let wzy = wz.knuth_mul(wy, self.cfg.round);
                     for px in 0..t {
-                        let dist_x = self.dec.forward_distance(dx.rel, px);
+                        let dist_x = self.dec.forward_distance(self.dec.rel_coord(&dx), px);
                         if dist_x >= w {
                             continue;
                         }

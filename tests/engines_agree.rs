@@ -66,22 +66,28 @@ fn bits(grid: &[C64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Every deterministic engine, on either backend, with 1/2/8 workers,
-/// reproduces the serial reference bit-for-bit.
+/// Every deterministic engine, on either backend, with 1/2/3/8 workers
+/// and tile side 8 or 16, reproduces the serial reference bit-for-bit.
+/// Three workers divide neither tile side, so Slice-and-Dice's row
+/// ownership splits unevenly.
 #[test]
 fn deterministic_engines_agree_bitwise() {
     cases!(24, |rng| {
         let (coords, values) = arb_samples(rng, 32, 120);
         let width = rng.usize_range(1, 9);
         let l = *rng.choose(&[1usize, 4, 32, 64]);
-        let p = params(32, width, l);
+        let tile = *rng.choose(&[8usize, 16]);
+        let p = GridParams {
+            tile,
+            ..params(32, width, l)
+        };
         let lut = KernelLut::from_params(&p);
         let npts = 32 * 32;
         let mut reference = vec![C64::zeroed(); npts];
         SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
         let reference_bits = bits(&reference);
         for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-            for threads in [1usize, 2, 8] {
+            for threads in [1usize, 2, 3, 8] {
                 let engines: Vec<Box<dyn Gridder<f64, 2>>> = vec![
                     Box::new(NaiveOutputGridder {
                         threads: Some(threads),
@@ -114,7 +120,7 @@ fn deterministic_engines_agree_bitwise() {
                     assert_eq!(
                         bits(&out),
                         reference_bits,
-                        "engine {} differs ({backend:?}, {threads} threads)",
+                        "engine {} differs ({backend:?}, {threads} threads, T = {tile})",
                         e.name()
                     );
                 }
@@ -133,7 +139,7 @@ fn pooled_backend_is_bitwise_invariant_of_scoped() {
         let p = params(64, 6, 32);
         let lut = KernelLut::from_params(&p);
         let npts = 64 * 64;
-        let threads = *rng.choose(&[1usize, 2, 8]);
+        let threads = *rng.choose(&[1usize, 2, 3, 8]);
         type Mk = Box<dyn Fn(ExecBackend) -> Box<dyn Gridder<f64, 2>>>;
         let mks: Vec<Mk> = vec![
             Box::new(move |backend| {

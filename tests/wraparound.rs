@@ -146,19 +146,20 @@ fn tile_seam_rel_zero_wraps_all_but_pipeline_zero() {
                 let u = seam as f64 - width as f64 / 2.0;
                 let d = dec.decompose(dec.quantize(u));
                 assert_eq!(d.base, seam, "u={u} width={width}");
-                assert_eq!(d.rel, 0, "seam base must have rel 0");
-                assert_eq!(d.tile, seam / tile);
+                let (rel, q0) = (dec.rel_coord(&d), dec.tile_coord(&d));
+                assert_eq!(rel, 0, "seam base must have rel 0");
+                assert_eq!(q0, seam / tile);
                 for pipe in 0..tile {
-                    let dist = dec.forward_distance(d.rel, pipe);
+                    let dist = dec.forward_distance(rel, pipe);
                     if !dec.affects(dist) {
                         continue;
                     }
                     if pipe == 0 {
-                        assert!(!dec.wrapped(d.rel, pipe));
-                        assert_eq!(dec.tile_for_pipeline(&d, pipe), d.tile);
+                        assert!(!dec.wrapped(rel, pipe));
+                        assert_eq!(dec.tile_for_pipeline(&d, pipe), q0);
                     } else {
-                        assert!(dec.wrapped(d.rel, pipe), "pipe {pipe} must wrap");
-                        let expect = (d.tile + dec.tiles_per_dim() - 1) % dec.tiles_per_dim();
+                        assert!(dec.wrapped(rel, pipe), "pipe {pipe} must wrap");
+                        let expect = (q0 + dec.tiles_per_dim() - 1) % dec.tiles_per_dim();
                         assert_eq!(dec.tile_for_pipeline(&d, pipe), expect);
                     }
                     // The wrapped tile still addresses the correct grid
@@ -185,18 +186,19 @@ fn wrap_from_tile_zero_reaches_last_tile() {
         let base = rng.usize_range(0, width as usize) as u32;
         let u = base as f64 - width as f64 / 2.0 + rng.f64_range(0.0, 0.99);
         let d = dec.decompose(dec.quantize(u));
-        if d.tile != 0 {
+        let rel = dec.rel_coord(&d);
+        if dec.tile_coord(&d) != 0 {
             return; // quantization rounded up to the next tile; skip
         }
         let tiles = dec.tiles_per_dim();
         let mut saw_wrap = false;
         for pipe in 0..tile {
-            let dist = dec.forward_distance(d.rel, pipe);
+            let dist = dec.forward_distance(rel, pipe);
             if !dec.affects(dist) {
                 continue;
             }
             let q = dec.tile_for_pipeline(&d, pipe);
-            if dec.wrapped(d.rel, pipe) {
+            if dec.wrapped(rel, pipe) {
                 saw_wrap = true;
                 assert_eq!(q, tiles - 1, "tile 0 must wrap to the last tile");
             } else {
@@ -204,8 +206,8 @@ fn wrap_from_tile_zero_reaches_last_tile() {
             }
             assert!(q < tiles, "tile index escaped [0, tiles)");
         }
-        if d.rel < width - 1 {
-            assert!(saw_wrap, "base {} rel {} should wrap", d.base, d.rel);
+        if rel < width - 1 {
+            assert!(saw_wrap, "base {} rel {rel} should wrap", d.base);
         }
     });
 }
