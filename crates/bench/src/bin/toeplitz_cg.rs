@@ -4,14 +4,15 @@
 //! Each gridded CG-SENSE iteration pays `2 × coils` gridding passes
 //! (forward + adjoint per coil) over M ≈ 247k samples. The Toeplitz path
 //! grids **once** at build time (a single adjoint at `2N`) and then each
-//! iteration is two `2N` FFTs per coil on the pooled blocked-FFT engine —
+//! iteration is two serial `2N` FFTs per coil, one coil per pool job —
 //! zero gridding in the hot loop. This bench records both per-iteration
 //! costs and their ratio in `BENCH_toeplitz_cg.json`; CI gates the ratio
 //! at ≤ 0.6.
 //!
 //! Before any timing is trusted, the Toeplitz apply is asserted
-//! **bitwise identical** across worker-pool sizes 1/2/8 (the FFT panel
-//! partition depends only on the grid shape, never the executor), and
+//! **bitwise identical** across worker-pool sizes 1/2/8 (a coil's
+//! convolution is one serial job that computes the same operations on
+//! any worker), and
 //! the full 20-iteration CG-SENSE images from both paths are compared by
 //! relative L2.
 //!

@@ -680,7 +680,8 @@ pub mod keys {
     pub const PARTIAL_GRID: u64 = 0x03;
     /// Naive output-parallel per-worker output chunk.
     pub const NAIVE_CHUNK: u64 = 0x04;
-    /// Batched-NuFFT per-coil oversampled grid.
+    /// Per-coil grid: the batched NuFFT's oversampled grid and the
+    /// Toeplitz operator's `(2N)^d` pad grid.
     pub const COIL_GRID: u64 = 0x05;
     /// N-D FFT panel scratch (defined by `jigsaw-fft`, which owns the
     /// executor trait; re-exported here so the key space stays auditable

@@ -17,16 +17,19 @@
 //!
 //! The hot path is engineered for the CG inner loop:
 //!
-//! * Both `(2N)^d` FFTs run through [`FftNd::process_with`] on the shared
-//!   [`WorkerPool`](crate::engine::WorkerPool), honoring the same serial
-//!   fallback policy as the NuFFT plans (per-axis retry, counted in
-//!   `engine.fallbacks`, strict `Error::Execution` when disabled).
-//! * The `(2N)^d` pad grid is recycled across applications instead of
-//!   reallocated — the operator keeps a small arena of parked buffers.
+//! * Each image of a batch is one job on an [`Executor`] — by default the
+//!   shared [`WorkerPool`] — that runs the whole convolution serially, so
+//!   the coils of a SENSE normal-operator application spread over the
+//!   workers. A job's `(2N)^d` pad grid is recycled in its worker's
+//!   scratch arena under [`keys::COIL_GRID`]. A contained job panic takes
+//!   the engine's serial-fallback policy: the missing images are
+//!   recomputed on the calling thread (bitwise identical, counted in
+//!   `engine.fallbacks`), or `Error::Execution` with the fallback off.
+//! * Inside a job both FFTs run serially ([`FftNd::process`]): on a
+//!   small host a `(2N)^d` FFT split into pool panels was slower than a
+//!   serial one, and the coils already keep the workers busy.
 //! * The embed/extract index map (image pixel → torus position) is
-//!   precomputed at build time, and [`ToeplitzOperator::apply_batch`]
-//!   amortizes it (and one scratch grid) over all coils of a SENSE
-//!   normal-operator application.
+//!   precomputed at build time.
 //!
 //! Build-time robustness: the `recon.normal_op` fault site fires inside
 //! [`ToeplitzOperator::build_with_plan`], and
@@ -36,51 +39,69 @@
 //! flight-recorded).
 
 use crate::config::NufftConfig;
+use crate::engine::{keys, WorkerPool};
 use crate::gridding::Gridder;
 use crate::nufft::NufftPlan;
 use crate::{Error, Result};
-use jigsaw_fft::exec::Executor;
+use jigsaw_fft::exec::{self, Executor, Job};
 use jigsaw_fft::{Direction, FftNd};
 use jigsaw_num::C64;
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::faultpoint;
-use std::sync::{Arc, Mutex};
-
-/// Parked pad grids kept per operator (two covers an apply racing a
-/// batched apply on another serve thread without unbounded growth).
-const MAX_PARKED_GRIDS: usize = 2;
+use std::sync::mpsc::channel;
+use std::sync::Arc;
 
 /// A precomputed NuFFT normal operator `x ↦ AᴴA x`.
 pub struct ToeplitzOperator<const D: usize> {
     n: usize,
+    /// Shared with the coil jobs of every application.
+    kernel: Arc<Kernel>,
+}
+
+/// What one convolution reads: everything a coil job carries onto a
+/// worker.
+struct Kernel {
     /// FFT of the PSF kernel on the `(2N)^d` torus.
     psf_hat: Vec<C64>,
     fft: FftNd<f64>,
     /// Torus position of every image pixel (row-major `[N; D]` order),
     /// shared by the zero-pad embed and the crop extract.
     embed_idx: Vec<u32>,
-    /// Recycled `(2N)^d` pad grids (see [`MAX_PARKED_GRIDS`]).
-    scratch: Mutex<Vec<Vec<C64>>>,
 }
 
-/// Run one in-place FFT on the given executor, honoring the engine's
-/// serial-fallback policy — the same pattern as the NuFFT plans'
-/// uniform-FFT stage.
-fn fft_on(exec: &dyn Executor, fft: &FftNd<f64>, data: &mut [C64], dir: Direction) -> Result<()> {
-    if crate::engine::serial_fallback_enabled() {
-        // Per-axis serial retry on contained panics, counted in
-        // `engine.fallbacks` inside the FFT layer.
-        fft.process_with(exec, data, dir);
-        Ok(())
-    } else {
-        fft.try_process_with(exec, data, dir)
-            .map_err(|e| Error::Execution(e.to_string()))
+impl Kernel {
+    /// One zero-pad → FFT → multiply → IFFT → crop cycle on the calling
+    /// thread: reads the image from `x` and overwrites it with the result.
+    /// `pad` must arrive zeroed.
+    fn convolve(&self, x: &mut [C64], pad: &mut [C64]) {
+        for (&idx, &v) in self.embed_idx.iter().zip(x.iter()) {
+            pad[idx as usize] = v;
+        }
+        self.fft.process(pad, Direction::Forward);
+        for (p, &h) in pad.iter_mut().zip(&self.psf_hat) {
+            *p *= h;
+        }
+        self.fft.process(pad, Direction::Inverse);
+        for (o, &idx) in x.iter_mut().zip(&self.embed_idx) {
+            *o = pad[idx as usize];
+        }
     }
 }
 
-/// Run one in-place FFT over the shared worker pool.
+/// Run one in-place FFT over the shared worker pool, honoring the
+/// engine's serial-fallback policy — the same pattern as the NuFFT plans'
+/// uniform-FFT stage.
 fn fft_pooled(fft: &FftNd<f64>, data: &mut [C64], dir: Direction) -> Result<()> {
-    fft_on(crate::engine::WorkerPool::global(), fft, data, dir)
+    let pool = WorkerPool::global();
+    if crate::engine::serial_fallback_enabled() {
+        // Per-axis serial retry on contained panics, counted in
+        // `engine.fallbacks` inside the FFT layer.
+        fft.process_with(pool, data, dir);
+        Ok(())
+    } else {
+        fft.try_process_with(pool, data, dir)
+            .map_err(|e| Error::Execution(e.to_string()))
+    }
 }
 
 impl<const D: usize> ToeplitzOperator<D> {
@@ -209,10 +230,11 @@ impl<const D: usize> ToeplitzOperator<D> {
         }
         Ok(Self {
             n,
-            psf_hat: torus,
-            fft,
-            embed_idx,
-            scratch: Mutex::new(Vec::new()),
+            kernel: Arc::new(Kernel {
+                psf_hat: torus,
+                fft,
+                embed_idx,
+            }),
         })
     }
 
@@ -263,59 +285,79 @@ impl<const D: usize> ToeplitzOperator<D> {
     /// Apply the normal operator: `out = AᴴA x` for a row-major `[N; D]`
     /// image. Two FFTs on the `(2N)^d` grid, no gridding.
     pub fn apply(&self, x: &[C64]) -> Result<Vec<C64>> {
-        self.apply_with(crate::engine::WorkerPool::global(), x)
+        self.apply_with(WorkerPool::global(), x)
     }
 
-    /// Like [`Self::apply`], but running the FFTs on the given executor
-    /// instead of the shared global pool. The FFT's panel partition
-    /// depends only on the grid shape, so the output is bitwise
-    /// identical for every executor and worker count — the bench pins
-    /// pool sizes through this seam to prove it.
+    /// Like [`Self::apply`], but running the convolution job on the given
+    /// executor instead of the shared global pool. A job computes the same
+    /// operations wherever it runs, so the output is bitwise identical for
+    /// every executor and worker count — the bench pins pool sizes through
+    /// this seam to prove it.
     pub fn apply_with(&self, exec: &dyn Executor, x: &[C64]) -> Result<Vec<C64>> {
-        self.check_image(x)?;
-        let _span = telemetry::span!("toeplitz.apply", { n: self.n, coils: 1usize });
-        telemetry::record_counter("toeplitz.applies", 1);
-        let mut pad = self.take_grid();
-        let mut out = vec![C64::zeroed(); x.len()];
-        let result = self.convolve(exec, x, &mut pad, &mut out);
-        self.give_grid(pad);
-        result.map(|()| out)
+        let mut out = self.apply_batch_with(exec, &[x])?;
+        Ok(out.pop().unwrap_or_default())
     }
 
     /// Apply the normal operator to a batch of images (one per coil,
-    /// each row-major `[N; D]`), reusing one pad grid and the shared
-    /// embed/extract map across the whole batch — the per-iteration
-    /// shape of the SENSE normal operator. Output order matches input;
-    /// every image is computed exactly as [`Self::apply`] would
-    /// (bitwise).
+    /// each row-major `[N; D]`) — the per-iteration shape of the SENSE
+    /// normal operator. Each image is one job on the shared pool, so the
+    /// coils convolve in parallel. Output order matches input; every image
+    /// is computed exactly as [`Self::apply`] would (bitwise).
     pub fn apply_batch(&self, xs: &[&[C64]]) -> Result<Vec<Vec<C64>>> {
+        self.apply_batch_with(WorkerPool::global(), xs)
+    }
+
+    /// [`Self::apply_batch`] with the coil jobs on `exec`.
+    fn apply_batch_with(&self, exec: &dyn Executor, xs: &[&[C64]]) -> Result<Vec<Vec<C64>>> {
         for x in xs {
             self.check_image(x)?;
         }
         let _span = telemetry::span!("toeplitz.apply", { n: self.n, coils: xs.len() });
         telemetry::record_counter("toeplitz.applies", xs.len() as u64);
-        let exec: &dyn Executor = crate::engine::WorkerPool::global();
-        let mut pad = self.take_grid();
-        let mut outs = Vec::with_capacity(xs.len());
-        let mut failed = None;
-        for x in xs {
-            if !outs.is_empty() {
-                pad.fill(C64::zeroed());
+        let (tx, rx) = channel();
+        let jobs: Vec<Job> = xs
+            .iter()
+            .enumerate()
+            .map(|(c, x)| {
+                let kernel = Arc::clone(&self.kernel);
+                let tx = tx.clone();
+                let mut image = x.to_vec();
+                let job: Job = Box::new(move |arena| {
+                    let len = kernel.psf_hat.len();
+                    let mut pad = exec::take_vec(arena, keys::COIL_GRID, len, C64::zeroed());
+                    kernel.convolve(&mut image, &mut pad);
+                    exec::give_vec(arena, keys::COIL_GRID, pad);
+                    let _ = tx.send((c, image));
+                });
+                job
+            })
+            .collect();
+        drop(tx);
+        if let Err(e) = exec.execute(jobs) {
+            if !crate::engine::serial_fallback_enabled() {
+                return Err(Error::Execution(format!("Toeplitz coil job failed: {e}")));
             }
-            let mut out = vec![C64::zeroed(); x.len()];
-            match self.convolve(exec, x, &mut pad, &mut out) {
-                Ok(()) => outs.push(out),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
+            crate::engine::note_serial_fallback("toeplitz.apply_batch");
+        }
+        let mut outs: Vec<Option<Vec<C64>>> = xs.iter().map(|_| None).collect();
+        for (c, image) in rx.try_iter() {
+            outs[c] = Some(image);
+        }
+        // A failed job returned nothing: recompute its image here. Each
+        // convolution is independent and runs the same operations on any
+        // thread, so the result is bitwise identical to the pooled one.
+        let mut pad = Vec::new();
+        for (out, x) in outs.iter_mut().zip(xs) {
+            if out.is_some() {
+                continue;
             }
+            pad.clear();
+            pad.resize(self.kernel.psf_hat.len(), C64::zeroed());
+            let mut image = x.to_vec();
+            self.kernel.convolve(&mut image, &mut pad);
+            *out = Some(image);
         }
-        self.give_grid(pad);
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(outs),
-        }
+        Ok(outs.into_iter().flatten().collect())
     }
 
     fn check_image(&self, x: &[C64]) -> Result<()> {
@@ -328,49 +370,6 @@ impl<const D: usize> ToeplitzOperator<D> {
             )));
         }
         Ok(())
-    }
-
-    /// One zero-pad → FFT → multiply → IFFT → crop cycle. `pad` must
-    /// arrive zeroed (the grid arena guarantees it for the first use;
-    /// batch callers re-zero between coils).
-    fn convolve(
-        &self,
-        exec: &dyn Executor,
-        x: &[C64],
-        pad: &mut [C64],
-        out: &mut [C64],
-    ) -> Result<()> {
-        for (&idx, &v) in self.embed_idx.iter().zip(x) {
-            pad[idx as usize] = v;
-        }
-        fft_on(exec, &self.fft, pad, Direction::Forward)?;
-        for (p, &h) in pad.iter_mut().zip(&self.psf_hat) {
-            *p *= h;
-        }
-        fft_on(exec, &self.fft, pad, Direction::Inverse)?;
-        for (o, &idx) in out.iter_mut().zip(&self.embed_idx) {
-            *o = pad[idx as usize];
-        }
-        Ok(())
-    }
-
-    /// Take a zeroed `(2N)^d` pad grid, recycling a parked one when
-    /// available (arena-style: allocate once, reuse every iteration).
-    fn take_grid(&self) -> Vec<C64> {
-        let parked = self.scratch.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        let mut grid = parked.unwrap_or_default();
-        grid.clear();
-        grid.resize(self.psf_hat.len(), C64::zeroed());
-        grid
-    }
-
-    /// Park a pad grid for the next application (bounded; see
-    /// [`MAX_PARKED_GRIDS`]).
-    fn give_grid(&self, grid: Vec<C64>) {
-        let mut parked = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        if parked.len() < MAX_PARKED_GRIDS {
-            parked.push(grid);
-        }
     }
 }
 
@@ -510,7 +509,7 @@ mod tests {
             Some(&plan2),
         )
         .unwrap();
-        assert!(bits_eq(&fresh.psf_hat, &reused.psf_hat));
+        assert!(bits_eq(&fresh.kernel.psf_hat, &reused.kernel.psf_hat));
         let x = test_image(n, 17);
         assert!(bits_eq(
             &fresh.apply(&x).unwrap(),
@@ -558,6 +557,72 @@ mod tests {
         for (xc, got) in coils.iter().zip(&batch) {
             assert!(bits_eq(got, &top.apply(xc).unwrap()));
         }
+        // A job that never reports (as after a contained panic) is
+        // recomputed on the calling thread, into its own coil's slot.
+        let _lock = crate::fault::test_guard();
+        crate::engine::set_serial_fallback(true);
+        let recomputed = top.apply_batch_with(&DropsJob(2), &refs).unwrap();
+        assert_eq!(recomputed.len(), 4);
+        for (a, b) in batch.iter().zip(&recomputed) {
+            assert!(bits_eq(a, b));
+        }
+    }
+
+    #[test]
+    fn apply_batch_is_bitwise_stable_across_worker_counts() {
+        // Five coils split unevenly over every pool size from one to four
+        // workers; each coil's image must not depend on which worker (or
+        // how many) ran it.
+        let n = 8;
+        let coords = traj::random_nd::<2>(90, 27);
+        let cfg = NufftConfig::with_n(n);
+        let top = ToeplitzOperator::<2>::build(&cfg, &coords, &[], &SerialGridder).unwrap();
+        let coils: Vec<Vec<C64>> = (0..5).map(|c| test_image(n, 40 + c)).collect();
+        let refs: Vec<&[C64]> = coils.iter().map(|c| c.as_slice()).collect();
+        let reference = top.apply_batch(&refs).unwrap();
+        for workers in 1..=4 {
+            let got = top
+                .apply_batch_with(&WorkerPool::new(workers), &refs)
+                .unwrap();
+            assert_eq!(got.len(), reference.len());
+            for (c, (a, b)) in reference.iter().zip(&got).enumerate() {
+                assert!(bits_eq(a, b), "{workers} workers, coil {c}");
+            }
+        }
+    }
+
+    /// Runs every job but `self.0` in order, then reports that one as
+    /// failed.
+    struct DropsJob(usize);
+
+    impl Executor for DropsJob {
+        fn execute(&self, jobs: Vec<Job>) -> std::result::Result<(), jigsaw_fft::ExecError> {
+            let mut arena = jigsaw_fft::exec::MapArena::default();
+            for (j, job) in jobs.into_iter().enumerate() {
+                if j != self.0 {
+                    job(&mut arena);
+                }
+            }
+            Err(jigsaw_fft::ExecError {
+                job: self.0,
+                worker: None,
+                message: "dropped".into(),
+            })
+        }
+
+        fn concurrency(&self) -> usize {
+            1
+        }
+
+        fn restore(
+            &self,
+            _job: usize,
+            _key: u64,
+            _ty: std::any::TypeId,
+            _buf: Box<dyn std::any::Any + Send>,
+            _bytes: usize,
+        ) {
+        }
     }
 
     #[test]
@@ -566,16 +631,27 @@ mod tests {
         let coords = traj::random_nd::<2>(40, 31);
         let cfg = NufftConfig::with_n(n);
         telemetry::set_enabled(true);
-        let before = telemetry::global()
-            .snapshot()
-            .counter("toeplitz.builds")
-            .unwrap_or(0);
-        let _ = ToeplitzOperator::<2>::build(&cfg, &coords, &[], &SerialGridder).unwrap();
-        let after = telemetry::global()
-            .snapshot()
-            .counter("toeplitz.builds")
-            .unwrap_or(0);
-        assert_eq!(after, before + 1);
+        let builds = || {
+            telemetry::global()
+                .snapshot()
+                .counter("toeplitz.builds")
+                .unwrap_or(0)
+        };
+        // The registry is process-wide and only counts up, and other tests
+        // build operators concurrently, so a window may also see their
+        // builds: every build must add at least one, and at least one of a
+        // few windows exactly one.
+        let deltas: Vec<u64> = (0..5)
+            .map(|_| {
+                let before = builds();
+                let _ = ToeplitzOperator::<2>::build(&cfg, &coords, &[], &SerialGridder).unwrap();
+                builds() - before
+            })
+            .collect();
+        assert!(
+            deltas.iter().all(|&d| d >= 1) && deltas.contains(&1),
+            "build count deltas {deltas:?}"
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@ use jigsaw::core::gridding::SliceDiceGridder;
 use jigsaw::core::recon::{
     cg_reconstruct, cg_reconstruct_with, CgDiagnostic, CgOptions, NormalOpKind,
 };
+use jigsaw::core::toeplitz::ToeplitzOperator;
 use jigsaw::core::{Error, NufftConfig, NufftPlan};
 use jigsaw::fft::exec::Job;
 use jigsaw::fft::{Direction, ExecError, Executor, FftNd, SerialExecutor};
@@ -146,6 +147,71 @@ fn fallback_output_is_bitwise_identical_and_counted() {
             "site {site}: engine.fallbacks must increment ({before} → {after})"
         );
     }
+}
+
+/// Contracts 1 + 2 for the Toeplitz coil jobs: an `engine.dispatch` fault
+/// in one coil's job of `apply_batch` surfaces as `Error::Execution` with
+/// the fallback disabled, leaving the operator usable, and with the
+/// fallback enabled degrades to a serial recompute that is bitwise
+/// identical and counted once in `engine.fallbacks`.
+#[test]
+fn toeplitz_coil_job_fault_strict_errors_then_fallback_matches() {
+    let _lock = test_guard();
+    let _policy = PolicyGuard;
+    telemetry::set_enabled(true);
+    let n = 16;
+    let (plan, coords, _) = coil_problem(n, 1);
+    let top =
+        ToeplitzOperator::<2>::build(plan.config(), &coords, &[], &SliceDiceGridder::default())
+            .unwrap();
+    let coils: Vec<Vec<C64>> = (0..3)
+        .map(|c| {
+            (0..n * n)
+                .map(|i| C64::new((i as f64 * 0.05 + c as f64).sin(), 0.1 * c as f64))
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[C64]> = coils.iter().map(Vec::as_slice).collect();
+    let baseline = top.apply_batch(&refs).unwrap();
+    let same = |got: &[Vec<C64>]| {
+        got.len() == baseline.len() && baseline.iter().zip(got).all(|(a, b)| bits_eq(a, b))
+    };
+
+    set_serial_fallback(false);
+    arm(FaultPlan::once_at(fault::ENGINE_DISPATCH));
+    let err = top
+        .apply_batch(&refs)
+        .expect_err("a coil-job fault must surface in strict mode");
+    assert_eq!(fires(), 1, "engine.dispatch must actually fire");
+    assert!(
+        matches!(err, Error::Execution(_)),
+        "expected Error::Execution, got {err:?}"
+    );
+    disarm();
+    assert!(
+        same(&top.apply_batch(&refs).unwrap()),
+        "the apply after a strict failure must match the unfaulted one"
+    );
+
+    set_serial_fallback(true);
+    let fallbacks = || {
+        telemetry::global()
+            .snapshot()
+            .counter("engine.fallbacks")
+            .unwrap_or(0)
+    };
+    let before = fallbacks();
+    arm(FaultPlan::once_at(fault::ENGINE_DISPATCH));
+    let degraded = top
+        .apply_batch(&refs)
+        .expect("the fallback must absorb a coil-job fault");
+    assert_eq!(fires(), 1, "engine.dispatch must actually fire");
+    disarm();
+    assert!(
+        same(&degraded),
+        "the serial recompute must be bitwise identical"
+    );
+    assert_eq!(fallbacks(), before + 1, "engine.fallbacks must count once");
 }
 
 /// Contract 2 for the pooled gridding engines: a fault in a gridding
