@@ -227,8 +227,8 @@ impl jigsaw_fft::exec::BufferArena for ScratchArena {
 thread_local! {
     /// True on pool worker threads; set once at worker startup. Used to
     /// detect *nested* dispatch — an [`jigsaw_fft::exec::Executor`] call
-    /// made from inside a worker job (e.g. the per-coil FFT inside a
-    /// pooled multi-coil batch). Dispatching back into the pool from a
+    /// made from inside a worker job (e.g. a pooled job that splits an FFT
+    /// over the pool). Dispatching back into the pool from a
     /// worker can deadlock (the nested job may map onto the very worker
     /// that is blocked waiting on it), so nested work runs inline instead.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -559,8 +559,12 @@ impl WorkerPool {
 ///
 /// This is the bridge that lets a *single* uniform FFT parallelize across
 /// the same workers that grid samples: `FftNd::process_with(pool, ..)`
-/// partitions each axis pass into panel jobs and runs them here. Three
-/// properties matter:
+/// partitions each axis pass into panel jobs and runs them here. Only the
+/// FFT tests and the `fft_scaling` bench split an FFT this way: the NuFFT
+/// plans and the Toeplitz build run serial FFTs, one coil per job, and
+/// the Toeplitz operator dispatches those coil jobs through
+/// [`Executor::execute`](jigsaw_fft::exec::Executor::execute).
+/// Three properties matter:
 ///
 /// * **Determinism** — the panel partition is computed by the FFT from the
 ///   grid shape alone; this executor only decides *where* each job runs,
@@ -570,7 +574,7 @@ impl WorkerPool {
 ///   merged-out panel buffers to that worker's arena, so panel scratch is
 ///   allocated once and stays warm across every FFT of a reconstruction.
 /// * **Nested-dispatch safety** — when `execute` is called *from a worker
-///   thread* (a pooled batch job running its per-coil FFT), jobs run
+///   thread* (a pooled job calling `FftNd::process_with(pool, ..)`), jobs run
 ///   inline on a thread-local arena. [`Executor::concurrency`] also
 ///   reports `1` there, so `FftNd` skips parallel orchestration entirely
 ///   and takes its serial blocked path — same numbers, no boxing.
@@ -669,8 +673,9 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Scratch-buffer keys used by the gridding engines (documented here so
-/// key collisions stay impossible by inspection).
+/// Scratch-buffer keys of the per-worker arenas: the gridding engines'
+/// buffers, the coil jobs' grids and the FFT panel jobs' scratch
+/// (documented here so key collisions stay impossible by inspection).
 pub mod keys {
     /// Slice-and-Dice per-worker accumulator columns.
     pub const DICE_COLUMNS: u64 = 0x01;
@@ -687,9 +692,6 @@ pub mod keys {
     /// executor trait; re-exported here so the key space stays auditable
     /// in one place).
     pub const FFT_PANEL: u64 = jigsaw_fft::exec::PANEL_KEY;
-    /// Apodization / extraction line scratch for the parallel embed and
-    /// extract passes around the uniform FFT.
-    pub const APOD_LINES: u64 = 0x07;
     /// Bluestein convolution scratch inside N-D FFT panel jobs (defined by
     /// `jigsaw-fft`; re-exported like [`FFT_PANEL`]).
     pub const FFT_WORK: u64 = jigsaw_fft::exec::WORK_KEY;
@@ -904,7 +906,6 @@ mod tests {
             keys::NAIVE_CHUNK,
             keys::COIL_GRID,
             keys::FFT_PANEL,
-            keys::APOD_LINES,
             keys::FFT_WORK,
         ];
         assert_eq!(keys::FFT_WORK, 0x08);

@@ -17,6 +17,15 @@
 //! window as they go, one coil per pooled job with an arena-recycled grid
 //! buffer each.
 //!
+//! The parallelism is across coils, never inside one transform: every
+//! uniform FFT runs serially on the calling thread ([`FftNd::process`]),
+//! and so do the apodized embed and the de-apodized extract around it.
+//! A coil job therefore runs its whole NuFFT on one worker, and a
+//! single-image [`NufftPlan::adjoint`] / [`NufftPlan::forward`] parallelizes
+//! only in its gridding engine. On a 2-vCPU host an FFT split into pool
+//! panels was slower than the serial blocked one at every size
+//! `BENCH_fft_scaling.json` records (0.59× its speed at 256²).
+//!
 //! Conventions (`ν` in cycles, image indices `k ∈ [−N/2, N/2)^d`):
 //!
 //! * adjoint: `ĥ_k = Σ_j c_j e^{+2πi k·ν_j}` (matches [`crate::nudft::adjoint_nudft`]),
@@ -32,7 +41,6 @@ use crate::interp::{self, gather_from_windows};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
 use crate::{Error, Result};
-use jigsaw_fft::exec::{restore_vec, take_vec, Executor, Job as ExecJob};
 use jigsaw_fft::{Direction, FftNd};
 use jigsaw_num::{Complex, Float};
 use jigsaw_telemetry as telemetry;
@@ -127,27 +135,6 @@ impl<const D: usize> PlannedTrajectory<D> {
     }
 }
 
-/// Minimum pixel count before the embed/extract apodization passes are
-/// worth fanning out over the executor: below this the per-job boxing and
-/// snapshot copy dominate the per-pixel index arithmetic they save.
-const PARALLEL_APOD_MIN: usize = 1 << 13;
-
-/// Split `npix` flat pixels into `conc` near-equal contiguous chunks.
-///
-/// Every pixel's value is computed independently with identical
-/// floating-point operations regardless of which chunk (and therefore
-/// worker) evaluates it, so the partition affects scheduling only — output
-/// is bitwise identical to the serial pass for any `conc`.
-fn apod_chunks(npix: usize, conc: usize) -> Vec<(usize, usize)> {
-    let chunk = npix.div_ceil(conc.max(1));
-    (0..npix.div_ceil(chunk))
-        .map(|j| {
-            let start = j * chunk;
-            (start, chunk.min(npix - start))
-        })
-        .collect()
-}
-
 /// The reusable internals of a plan, shared via `Arc` so pooled jobs can
 /// hold `'static` references to the FFT, apodization table, and LUT.
 struct PlanInner<T, const D: usize> {
@@ -175,217 +162,62 @@ impl<T: Float, const D: usize> PlanInner<T, D> {
             .collect()
     }
 
-    /// Oversampled-grid destination index and apodization factor for image
-    /// pixel `flat` (row-major `[N; D]`). The per-pixel work of both the
-    /// serial and the parallel embed pass — one body, identical FP ops.
-    #[inline]
-    fn embed_site(&self, flat: usize) -> (usize, f64) {
-        let n = self.cfg.n;
-        let g = self.params.grid;
-        let mut rem = flat;
-        let mut dst = 0usize;
-        let mut f = 1.0;
-        for d in 0..D {
-            let stride = n.pow((D - 1 - d) as u32);
-            let i = (rem / stride) % n;
-            rem %= stride;
-            let k = i as i64 - (n / 2) as i64;
-            let s = k.rem_euclid(g as i64) as usize;
-            dst = dst * g + s;
-            f *= self.apod.factor(i);
-        }
-        (dst, f)
-    }
-
     /// Pre-apodize an `[N; D]` image and embed it into the (pre-zeroed)
     /// oversampled grid — the forward NuFFT's first stage.
     fn embed_apodized(&self, image: &[Complex<T>], grid: &mut [Complex<T>]) {
-        for (flat, &v) in image.iter().enumerate() {
-            let (dst, f) = self.embed_site(flat);
-            grid[dst] = v.scale(T::from_f64(f));
-        }
-    }
-
-    /// Compute the `(grid index, apodized value)` pairs for image pixels
-    /// `flat0 .. flat0 + out.len()` — the parallel embed pass's job body.
-    fn embed_pairs(&self, image: &[Complex<T>], flat0: usize, out: &mut [(usize, Complex<T>)]) {
-        for (off, slot) in out.iter_mut().enumerate() {
-            let flat = flat0 + off;
-            let (dst, f) = self.embed_site(flat);
-            *slot = (dst, image[flat].scale(T::from_f64(f)));
-        }
-    }
-
-    /// [`Self::embed_apodized`] with the index arithmetic + apodization
-    /// multiply fanned out over `exec`. Jobs compute `(dst, value)` pairs
-    /// from an `Arc`-shared image snapshot; the caller owns the only
-    /// mutable reference to `grid` and performs the scatter, so no two
-    /// threads ever write the grid. Bitwise identical to the serial pass
-    /// for any executor (see [`apod_chunks`]).
-    ///
-    /// If a job panics and [`crate::engine::serial_fallback_enabled`],
-    /// the serial pass recomputes the full output (jobs never touch
-    /// `grid`, so it is still pristine) and `engine.fallbacks` is
-    /// incremented; with the policy disabled the failure surfaces as
-    /// [`Error::Execution`].
-    fn embed_apodized_with(
-        self: &Arc<Self>,
-        exec: &dyn Executor,
-        image: &[Complex<T>],
-        grid: &mut [Complex<T>],
-    ) -> Result<()> {
-        let npix = image.len();
-        if exec.concurrency() <= 1 || npix < PARALLEL_APOD_MIN {
-            self.embed_apodized(image, grid);
-            return Ok(());
-        }
-        let src: Arc<Vec<Complex<T>>> = Arc::new(image.to_vec());
-        let chunks = apod_chunks(npix, exec.concurrency());
-        let (tx, rx) = channel();
-        let jobs: Vec<ExecJob> = chunks
-            .iter()
-            .enumerate()
-            .map(|(j, &(start, len))| {
-                let inner = Arc::clone(self);
-                let src = Arc::clone(&src);
-                let tx = tx.clone();
-                let job: ExecJob = Box::new(move |arena| {
-                    let _span = telemetry::span!("nufft.embed_chunk", { start: start, len: len });
-                    let mut out = take_vec(
-                        arena,
-                        keys::APOD_LINES,
-                        len,
-                        (0usize, Complex::<T>::zeroed()),
-                    );
-                    inner.embed_pairs(&src, start, &mut out);
-                    let _ = tx.send((j, out));
-                });
-                job
-            })
-            .collect();
-        drop(tx);
-        if let Err(e) = exec.execute(jobs) {
-            if !crate::engine::serial_fallback_enabled() {
-                return Err(Error::Execution(e.to_string()));
-            }
-            crate::engine::note_serial_fallback("nufft.embed_apodized");
-            drop(rx);
-            self.embed_apodized(image, grid);
-            return Ok(());
-        }
-        for _ in 0..chunks.len() {
-            let (j, out) = rx
-                .recv()
-                .map_err(|_| Error::Execution("embed chunk result channel closed".into()))?;
-            for &(dst, v) in out.iter() {
-                grid[dst] = v;
-            }
-            restore_vec(exec, j, keys::APOD_LINES, out);
-        }
-        Ok(())
-    }
-
-    /// De-apodized extraction of image pixels `flat0 .. flat0 + out.len()`
-    /// from the FFT'd oversampled grid — one body serving both the serial
-    /// and the parallel extract pass.
-    fn extract_range(&self, grid: &[Complex<T>], flat0: usize, out: &mut [Complex<T>]) {
         let n = self.cfg.n;
         let g = self.params.grid;
-        for (off, o) in out.iter_mut().enumerate() {
-            let mut rem = flat0 + off;
-            let mut src = 0usize;
+        for (flat, &v) in image.iter().enumerate() {
+            let mut rem = flat;
+            let mut dst = 0usize;
             let mut f = 1.0;
             for d in 0..D {
-                // Row-major: peel dims from the most significant side.
                 let stride = n.pow((D - 1 - d) as u32);
                 let i = (rem / stride) % n;
                 rem %= stride;
                 let k = i as i64 - (n / 2) as i64;
-                let s = (-k).rem_euclid(g as i64) as usize;
-                src = src * g + s;
+                let s = k.rem_euclid(g as i64) as usize;
+                dst = dst * g + s;
                 f *= self.apod.factor(i);
             }
-            *o = grid[src].scale(T::from_f64(f));
+            grid[dst] = v.scale(T::from_f64(f));
         }
     }
 
-    /// Extract `ĥ_k = FFT[g][(−k) mod G]` with de-apodization, fanning the
-    /// per-pixel gather + multiply out over `exec`. Jobs read an
-    /// `Arc`-shared grid snapshot and return contiguous image chunks the
-    /// caller places — bitwise identical to the serial pass for any
-    /// executor (see [`apod_chunks`]).
-    ///
-    /// Failure policy matches [`Self::embed_apodized_with`]: jobs read a
-    /// snapshot and never write `image`, so after a contained panic the
-    /// serial pass reproduces the full output bitwise (counted in
-    /// `engine.fallbacks`), or [`Error::Execution`] is returned when the
-    /// fallback policy is disabled.
-    fn extract_deapodized(
-        self: &Arc<Self>,
-        exec: &dyn Executor,
-        grid: &[Complex<T>],
-    ) -> Result<Vec<Complex<T>>> {
+    /// Extract `ĥ_k = FFT[g][(−k) mod G]` with de-apodization from the
+    /// FFT'd oversampled grid — the adjoint NuFFT's last stage.
+    fn extract_deapodized(&self, grid: &[Complex<T>]) -> Vec<Complex<T>> {
         let n = self.cfg.n;
-        let npix = n.pow(D as u32);
-        let mut image = vec![Complex::<T>::zeroed(); npix];
-        if exec.concurrency() <= 1 || npix < PARALLEL_APOD_MIN {
-            self.extract_range(grid, 0, &mut image);
-            return Ok(image);
-        }
-        let src: Arc<Vec<Complex<T>>> = Arc::new(grid.to_vec());
-        let chunks = apod_chunks(npix, exec.concurrency());
-        let (tx, rx) = channel();
-        let jobs: Vec<ExecJob> = chunks
-            .iter()
-            .enumerate()
-            .map(|(j, &(start, len))| {
-                let inner = Arc::clone(self);
-                let src = Arc::clone(&src);
-                let tx = tx.clone();
-                let job: ExecJob = Box::new(move |arena| {
-                    let _span = telemetry::span!("nufft.extract_chunk", { start: start, len: len });
-                    let mut out = take_vec(arena, keys::APOD_LINES, len, Complex::<T>::zeroed());
-                    inner.extract_range(&src, start, &mut out);
-                    let _ = tx.send((j, start, out));
-                });
-                job
+        let g = self.params.grid;
+        (0..n.pow(D as u32))
+            .map(|flat| {
+                let mut rem = flat;
+                let mut src = 0usize;
+                let mut f = 1.0;
+                for d in 0..D {
+                    // Row-major: peel dims from the most significant side.
+                    let stride = n.pow((D - 1 - d) as u32);
+                    let i = (rem / stride) % n;
+                    rem %= stride;
+                    let k = i as i64 - (n / 2) as i64;
+                    let s = (-k).rem_euclid(g as i64) as usize;
+                    src = src * g + s;
+                    f *= self.apod.factor(i);
+                }
+                grid[src].scale(T::from_f64(f))
             })
-            .collect();
-        drop(tx);
-        if let Err(e) = exec.execute(jobs) {
-            if !crate::engine::serial_fallback_enabled() {
-                return Err(Error::Execution(e.to_string()));
-            }
-            crate::engine::note_serial_fallback("nufft.extract_deapodized");
-            drop(rx);
-            self.extract_range(grid, 0, &mut image);
-            return Ok(image);
-        }
-        for _ in 0..chunks.len() {
-            let (j, start, out) = rx
-                .recv()
-                .map_err(|_| Error::Execution("extract chunk result channel closed".into()))?;
-            image[start..start + out.len()].copy_from_slice(&out);
-            restore_vec(exec, j, keys::APOD_LINES, out);
-        }
-        Ok(image)
+            .collect()
     }
 
     /// The adjoint NuFFT's post-gridding stages: uniform FFT over an
     /// already-gridded oversampled buffer, then extraction and
-    /// de-apodization. `grid` is consumed as scratch.
+    /// de-apodization, both serially on the calling thread. `grid` is
+    /// consumed as scratch.
     ///
-    /// Both stages run on the global [`WorkerPool`] via the
-    /// [`Executor`] bridge, so a *single-coil* adjoint parallelizes
-    /// within its one FFT instead of hitting the serial Amdahl wall
-    /// after parallel gridding. When called from inside a pooled batch
-    /// job (one coil per worker), the pool reports serial concurrency on
-    /// worker threads and both stages take their serial paths — same
-    /// numbers, no nested dispatch.
-    fn finish_adjoint(
-        self: &Arc<Self>,
-        grid: &mut [Complex<T>],
-    ) -> Result<(Vec<Complex<T>>, StageTimings)> {
+    /// A pooled coil job runs this on its worker; a single-image adjoint
+    /// runs it on the caller's thread after its (possibly parallel)
+    /// gridding engine returns.
+    fn finish_adjoint(&self, grid: &mut [Complex<T>]) -> Result<(Vec<Complex<T>>, StageTimings)> {
         let g = self.params.grid;
         let n = self.cfg.n;
         if grid.len() != g.pow(D as u32) {
@@ -396,27 +228,17 @@ impl<T: Float, const D: usize> PlanInner<T, D> {
                 D
             )));
         }
-        let pool = WorkerPool::global();
         let t2 = Instant::now();
         {
             let _span = telemetry::span!("fft.process", { points: grid.len() });
-            if crate::engine::serial_fallback_enabled() {
-                // Per-axis serial retry on contained panics, counted in
-                // `engine.fallbacks` inside the FFT layer.
-                self.fft.process_with(pool, grid, Direction::Forward);
-            } else {
-                self.fft
-                    .try_process_with(pool, grid, Direction::Forward)
-                    .map_err(|e| Error::Execution(e.to_string()))?;
-            }
+            self.fft.process(grid, Direction::Forward);
         }
         let fft_seconds = t2.elapsed().as_secs_f64();
 
-        // Extract ĥ_k = FFT[g][(−k) mod G] with deapodization.
         let t3 = Instant::now();
         let image = {
             let _apod_span = telemetry::span!("nufft.apod", { n: n, dim: D });
-            self.extract_deapodized(pool, grid)?
+            self.extract_deapodized(grid)
         };
         let apod_seconds = t3.elapsed().as_secs_f64();
         Ok((
@@ -1032,7 +854,7 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
 
     /// The adjoint NuFFT's post-gridding stages: uniform FFT over an
     /// already-gridded oversampled buffer, then extraction and
-    /// de-apodization.
+    /// de-apodization, both serially on the calling thread.
     ///
     /// This is the host-side half of an accelerator integration (§IV
     /// "System Integration"): JIGSAW streams back the gridded target grid
@@ -1059,27 +881,17 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
 
         let _span = telemetry::span!("nufft.forward", { dim: D, m: coords.len() });
         // Pre-apodize and embed into the zero-padded oversampled grid,
-        // then FFT — both fanned out over the global pool so a single
-        // forward transform parallelizes end to end.
-        let pool = WorkerPool::global();
+        // then FFT, both serially on the calling thread; only the
+        // interpolation below may fan out.
         let t0 = Instant::now();
         let mut grid = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
-        self.inner.embed_apodized_with(pool, image, &mut grid)?;
+        self.inner.embed_apodized(image, &mut grid);
         let apod_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
         {
             let _fft_span = telemetry::span!("fft.process", { points: grid.len() });
-            if crate::engine::serial_fallback_enabled() {
-                self.inner
-                    .fft
-                    .process_with(pool, &mut grid, Direction::Forward);
-            } else {
-                self.inner
-                    .fft
-                    .try_process_with(pool, &mut grid, Direction::Forward)
-                    .map_err(|e| Error::Execution(e.to_string()))?;
-            }
+            self.inner.fft.process(&mut grid, Direction::Forward);
         }
         let fft_seconds = t1.elapsed().as_secs_f64();
 

@@ -119,38 +119,33 @@ pub fn acquire(
     Ok(out)
 }
 
-/// SENSE adjoint: `Σ_c conj(S_c) ⊙ Aᴴ data_c`.
+/// SENSE adjoint: `Σ_c conj(S_c) ⊙ Aᴴ data_c`, summed in coil order.
+///
+/// Every coil acquires the same trajectory (§II-A), so this plans it once
+/// ([`NufftPlan::plan_trajectory`]) and runs [`adjoint_planned`]: each
+/// coil scatters from the shared window decomposition, then FFTs and
+/// de-apodizes in its own pool job.
+///
+/// `gridder` is not consulted. The planned scatter is bitwise identical
+/// to every deterministic engine — serial, Slice-and-Dice and binned
+/// (`tests/engines_agree.rs`) — and those are the only engines callers in
+/// this repository pass.
 pub fn adjoint(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
     data: &[Vec<C64>],
     coords: &[[f64; 2]],
-    gridder: &dyn Gridder<f64, 2>,
+    _gridder: &dyn Gridder<f64, 2>,
 ) -> Result<Vec<C64>> {
-    if data.len() != maps.coils() {
-        return Err(Error::Data(format!(
-            "{} coil data sets for {} coils",
-            data.len(),
-            maps.coils()
-        )));
-    }
-    let n = maps.n();
-    let mut acc = vec![C64::zeroed(); n * n];
-    let batches: Vec<&[C64]> = data.iter().map(|d| d.as_slice()).collect();
-    let outputs = plan.adjoint_batch(coords, &batches, gridder)?;
-    for (c, out) in outputs.iter().enumerate() {
-        for ((a, x), s) in acc.iter_mut().zip(&out.image).zip(maps.map(c)) {
-            *a += *x * s.conj();
-        }
-    }
-    Ok(acc)
+    let traj = plan.plan_trajectory(coords)?;
+    adjoint_planned(plan, maps, data, &traj)
 }
 
-/// SENSE adjoint over a planned trajectory: identical math to
-/// [`adjoint`], but the per-sample window decomposition is cached in
-/// `traj` and every coil streams through the persistent worker pool
-/// ([`NufftPlan::adjoint_batch_planned`]). Bitwise equal to
-/// `adjoint(..., &SerialGridder)` coil by coil.
+/// [`adjoint`] over a trajectory the caller already planned, so one plan
+/// can serve several calls. Every coil streams through the persistent
+/// worker pool ([`NufftPlan::adjoint_batch_planned`]); each coil's image
+/// is bitwise equal to a cold `plan.adjoint(coords, &data[c],
+/// &SerialGridder)`, and the coils are summed in coil order.
 pub fn adjoint_planned(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
@@ -205,7 +200,8 @@ pub fn cg_sense(
 /// applies it to every coil-weighted image through
 /// [`ToeplitzOperator::apply_batch`] — zero gridding in the hot loop. A
 /// degradable build failure falls back to the gridded closure under the
-/// engine's serial-fallback policy.
+/// engine's serial-fallback policy. Under either operator the right-hand
+/// side is the planned SENSE [`adjoint`].
 pub fn cg_sense_with(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
@@ -400,12 +396,24 @@ mod tests {
                     .collect()
             })
             .collect();
-        let reference = adjoint(&plan, &maps, &data, &coords, &SerialGridder).unwrap();
+        // Independent reference: a cold serial adjoint per coil, weighted
+        // by conj(S_c) and summed in coil order.
+        let mut reference = vec![C64::zeroed(); n * n];
+        for (c, d) in data.iter().enumerate() {
+            let image = plan.adjoint(&coords, d, &SerialGridder).unwrap().image;
+            for ((a, x), s) in reference.iter_mut().zip(&image).zip(maps.map(c)) {
+                *a += *x * s.conj();
+            }
+        }
         let traj = plan.plan_trajectory(&coords).unwrap();
         let planned = adjoint_planned(&plan, &maps, &data, &traj).unwrap();
-        for (x, y) in planned.iter().zip(&reference) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
+        let unplanned = adjoint(&plan, &maps, &data, &coords, &SerialGridder).unwrap();
+        for got in [&planned, &unplanned] {
+            assert_eq!(got.len(), reference.len());
+            for (x, y) in got.iter().zip(&reference) {
+                assert_eq!(x.re.to_bits(), y.re.to_bits());
+                assert_eq!(x.im.to_bits(), y.im.to_bits());
+            }
         }
         // Coil-count mismatch rejected.
         assert!(adjoint_planned(&plan, &maps, &data[..2], &traj).is_err());

@@ -20,6 +20,12 @@
 //! spellings of the same kernel (`Auto` vs. its resolved Kaiser-Bessel)
 //! share one entry.
 //!
+//! The key only hashes the trajectory, so a hit is verified: the entry's
+//! stored coordinates (and, for Toeplitz kernels, its density weights)
+//! must equal the request's bit for bit, or the lookup counts as a miss
+//! and the rebuilt entry replaces the resident one. A `trajectory_hash`
+//! collision therefore costs a rebuild, never a wrong image.
+//!
 //! Toeplitz normal-operator kernels are cached in the same LRU (see
 //! [`PlanCache::get_or_build_toeplitz`]): their keys carry the doubled
 //! (`2N`) geometry **plus** an FNV hash of the density weights
@@ -192,6 +198,19 @@ pub struct CachedPlan {
     pub toeplitz: Option<Arc<ToeplitzOperator<2>>>,
 }
 
+impl CachedPlan {
+    /// Whether this entry was built from exactly `coords` and `weights`,
+    /// bit for bit.
+    fn built_from(&self, coords: &[[f64; 2]], weights: &[f64]) -> bool {
+        same_bits(self.coords.as_flattened(), coords.as_flattened())
+            && same_bits(&self.weights, weights)
+    }
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 impl std::fmt::Debug for CachedPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedPlan")
@@ -276,10 +295,21 @@ impl PlanCache {
     }
 
     /// Look up `key`, promoting it to most recently used on a hit.
-    /// Counts a hit or a miss.
+    /// Counts a hit or a miss. The key alone decides; [`Self::get_or_build`]
+    /// also checks the entry's rebuild inputs.
     pub fn lookup(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
+        self.lookup_verified(key, |_| true)
+    }
+
+    /// [`Self::lookup`] where the entry under `key` is a hit only if
+    /// `verify` accepts it; otherwise the lookup counts as a miss.
+    fn lookup_verified(
+        &self,
+        key: &PlanKey,
+        verify: impl Fn(&CachedPlan) -> bool,
+    ) -> Option<Arc<CachedPlan>> {
         let mut entries = self.lock();
-        if let Some(i) = entries.iter().position(|e| &e.key == key) {
+        if let Some(i) = entries.iter().position(|e| &e.key == key && verify(e)) {
             let Some(entry) = entries.remove(i) else {
                 // Unreachable: `i` came from `position` under the same lock.
                 return None;
@@ -311,9 +341,11 @@ impl PlanCache {
 
     /// Insert an entry at the most-recently-used position, evicting the
     /// least recently used entries beyond capacity. If the key is
-    /// already resident (a racing build on another thread won), the
-    /// resident entry is kept and returned so all callers share one
-    /// canonical plan.
+    /// already resident and built from the same coordinates and weights
+    /// (a racing build on another thread won), the resident entry is
+    /// kept and returned so all callers share one canonical plan. A
+    /// resident entry built from other inputs under the same key (a hash
+    /// collision) is replaced.
     pub fn insert(&self, entry: Arc<CachedPlan>) -> Arc<CachedPlan> {
         let mut evicted = 0u64;
         let canonical;
@@ -323,8 +355,12 @@ impl PlanCache {
                 let Some(existing) = entries.remove(i) else {
                     return entry;
                 };
-                entries.push_front(Arc::clone(&existing));
-                canonical = existing;
+                canonical = if existing.built_from(&entry.coords, &entry.weights) {
+                    existing
+                } else {
+                    entry
+                };
+                entries.push_front(Arc::clone(&canonical));
             } else {
                 entries.push_front(Arc::clone(&entry));
                 while entries.len() > self.capacity {
@@ -349,7 +385,8 @@ impl PlanCache {
 
     /// The daemon's main seam: return the cached plan for
     /// `(cfg, coords)`, building (outside the lock) and inserting it on
-    /// a miss. The boolean is `true` on a cache hit.
+    /// a miss. The boolean is `true` on a cache hit, which requires the
+    /// entry's stored coordinates to equal `coords` bit for bit.
     ///
     /// The `serve.cache` fault point fires *before* any lock is taken,
     /// so an injected panic here can never poison or corrupt the cache.
@@ -360,7 +397,7 @@ impl PlanCache {
     ) -> Result<(Arc<CachedPlan>, bool)> {
         faultpoint!(crate::fault::SERVE_CACHE);
         let key = plan_key(cfg, coords);
-        if let Some(hit) = self.lookup(&key) {
+        if let Some(hit) = self.lookup_verified(&key, |e| e.built_from(coords, &[])) {
             return Ok((hit, true));
         }
         // Build outside the lock: concurrent misses on the same key may
@@ -381,7 +418,8 @@ impl PlanCache {
 
     /// Return the cached Toeplitz normal-operator kernel for
     /// `(cfg, coords, weights)`, building and inserting it on a miss.
-    /// The boolean is `true` on a cache hit.
+    /// The boolean is `true` on a cache hit, which requires the entry's
+    /// stored coordinates and weights to equal the request's bit for bit.
     ///
     /// A miss first fetches (or builds) the plain `2N` plan entry via
     /// [`Self::get_or_build`] and hands that prebuilt plan to
@@ -406,7 +444,7 @@ impl PlanCache {
             )));
         }
         let key = toeplitz_key(cfg, coords, weights);
-        if let Some(hit) = self.lookup(&key) {
+        if let Some(hit) = self.lookup_verified(&key, |e| e.built_from(coords, weights)) {
             if let Some(op) = &hit.toeplitz {
                 return Ok((Arc::clone(op), true));
             }
@@ -644,6 +682,40 @@ mod tests {
         let second = cache.insert(build());
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn toeplitz_hits_verify_weights() {
+        let cache = PlanCache::new(4);
+        let t = traj(13, 24);
+        let c = cfg(8);
+        let g = crate::gridding::SerialGridder;
+        let (plain, _) = cache.get_or_build_toeplitz(&c, &t, &[], &g).unwrap();
+        // File the unweighted kernel under the weighted key, as a
+        // `weights_hash` collision would.
+        let w = vec![0.5; t.len()];
+        let Some(e) = cache.lookup(&toeplitz_key(&c, &t, &[])) else {
+            panic!("unweighted kernel entry must be resident");
+        };
+        cache.insert(Arc::new(CachedPlan {
+            key: toeplitz_key(&c, &t, &w),
+            cfg: e.cfg.clone(),
+            plan: e.plan.clone(),
+            traj: e.traj.clone(),
+            coords: Arc::clone(&e.coords),
+            weights: Arc::clone(&e.weights),
+            toeplitz: e.toeplitz.clone(),
+        }));
+        let (weighted, hit) = cache.get_or_build_toeplitz(&c, &t, &w, &g).unwrap();
+        assert!(
+            !hit,
+            "an unweighted kernel must not serve weighted requests"
+        );
+        assert!(!Arc::ptr_eq(&plain, &weighted));
+        let (again, hit) = cache.get_or_build_toeplitz(&c, &t, &w, &g).unwrap();
+        assert!(hit, "the rebuilt kernel replaced the impostor");
+        assert!(Arc::ptr_eq(&weighted, &again));
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

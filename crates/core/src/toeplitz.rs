@@ -25,9 +25,10 @@
 //!   the engine's serial-fallback policy: the missing images are
 //!   recomputed on the calling thread (bitwise identical, counted in
 //!   `engine.fallbacks`), or `Error::Execution` with the fallback off.
-//! * Inside a job both FFTs run serially ([`FftNd::process`]): on a
-//!   small host a `(2N)^d` FFT split into pool panels was slower than a
-//!   serial one, and the coils already keep the workers busy.
+//! * Inside a job both FFTs run serially ([`FftNd::process`]), and so
+//!   does the build's one torus FFT: on a small host a `(2N)^d` FFT split
+//!   into pool panels was slower than a serial one, and the coils already
+//!   keep the workers busy.
 //! * The embed/extract index map (image pixel → torus position) is
 //!   precomputed at build time.
 //!
@@ -85,22 +86,6 @@ impl Kernel {
         for (o, &idx) in x.iter_mut().zip(&self.embed_idx) {
             *o = pad[idx as usize];
         }
-    }
-}
-
-/// Run one in-place FFT over the shared worker pool, honoring the
-/// engine's serial-fallback policy — the same pattern as the NuFFT plans'
-/// uniform-FFT stage.
-fn fft_pooled(fft: &FftNd<f64>, data: &mut [C64], dir: Direction) -> Result<()> {
-    let pool = WorkerPool::global();
-    if crate::engine::serial_fallback_enabled() {
-        // Per-axis serial retry on contained panics, counted in
-        // `engine.fallbacks` inside the FFT layer.
-        fft.process_with(pool, data, dir);
-        Ok(())
-    } else {
-        fft.try_process_with(pool, data, dir)
-            .map_err(|e| Error::Execution(e.to_string()))
     }
 }
 
@@ -210,7 +195,7 @@ impl<const D: usize> ToeplitzOperator<D> {
             torus[dst] = v;
         }
         let fft = FftNd::new(&[two_n; D]);
-        fft_pooled(&fft, &mut torus, Direction::Forward)?;
+        fft.process(&mut torus, Direction::Forward);
         // Embed/extract map: pixel index i ↔ k = i − N/2 ∈ [−N/2, N/2),
         // placed at (k mod 2N) on the torus. Shared by both directions,
         // computed once here instead of per application.

@@ -98,7 +98,7 @@ pub const PANEL_KEY: u64 = 0x06;
 /// Scratch key for Bluestein convolution work buffers used inside panel
 /// jobs (`Vec<Complex<T>>` of `lanes * work_len()` elements). Lives in the
 /// same key space as [`PANEL_KEY`]; core re-exports it as
-/// `keys::FFT_WORK`. `0x07` is taken by core's apodization scratch.
+/// `keys::FFT_WORK`.
 pub const WORK_KEY: u64 = 0x08;
 
 /// Object-safe, type-erased store of recyclable buffers.

@@ -1,11 +1,15 @@
 //! Multi-coil batch correctness through the public API: the batched
 //! adjoint paths (sequential `adjoint_batch` and pool-parallel
-//! `adjoint_batch_planned`) must reproduce N independent single-coil
-//! `adjoint` calls **exactly** (`rel_l2 == 0` in f64), and the degenerate
-//! shapes — empty batch, single sample, single coil — must behave.
+//! `adjoint_batch_planned`) and the coil-combined SENSE adjoint must
+//! reproduce N independent single-coil `adjoint` calls **exactly**
+//! (`rel_l2 == 0` in f64), and the degenerate shapes — empty batch,
+//! single sample, single coil — must behave.
 
-use jigsaw::core::gridding::{SerialGridder, SliceDiceGridder, SliceDiceMode};
+use jigsaw::core::gridding::{
+    BinnedGridder, Gridder, SerialGridder, SliceDiceGridder, SliceDiceMode,
+};
 use jigsaw::core::metrics::rel_l2;
+use jigsaw::core::sense::{self, CoilMaps};
 use jigsaw::core::{NufftConfig, NufftPlan};
 use jigsaw::num::C64;
 use jigsaw_testkit::{cases, Rng};
@@ -89,6 +93,43 @@ fn planned_batch_matches_parallel_single_engine() {
         for (c, out) in batch.iter().enumerate() {
             let single = plan.adjoint(&coords, &batches[c], &engine).unwrap();
             assert_eq!(rel_l2(&out.image, &single.image), 0.0, "coil {c}");
+        }
+    });
+}
+
+/// The SENSE adjoint equals cold serial single-coil adjoints weighted by
+/// `conj(S_c)` and summed in coil order, bitwise, whichever deterministic
+/// engine the caller passes. Odd coil counts give the two pool workers
+/// unequal shares.
+#[test]
+fn sense_adjoint_equals_per_coil_serial_sum_bitwise() {
+    cases!(6, |rng| {
+        let n = 16usize;
+        let m = rng.usize_range(1, 150);
+        let coils = rng.usize_range(1, 10);
+        let (coords, data) = problem(rng, n, m, coils);
+        let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(n)).unwrap();
+        let maps = CoilMaps::synthetic(n, coils);
+        let mut reference = vec![C64::zeroed(); n * n];
+        for (c, d) in data.iter().enumerate() {
+            let image = plan.adjoint(&coords, d, &SerialGridder).unwrap().image;
+            for ((a, x), s) in reference.iter_mut().zip(&image).zip(maps.map(c)) {
+                *a += *x * s.conj();
+            }
+        }
+        let gridders: [Box<dyn Gridder<f64, 2>>; 4] = [
+            Box::new(SerialGridder),
+            Box::new(SliceDiceGridder::new(SliceDiceMode::Serial)),
+            Box::new(SliceDiceGridder::new(SliceDiceMode::ColumnParallel)),
+            Box::new(BinnedGridder::default()),
+        ];
+        for g in &gridders {
+            let got = sense::adjoint(&plan, &maps, &data, &coords, g.as_ref()).unwrap();
+            assert_eq!(got.len(), reference.len());
+            for (a, b) in got.iter().zip(&reference) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "{coils} coils");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "{coils} coils");
+            }
         }
     });
 }

@@ -25,12 +25,15 @@
 //! 7. **Input hygiene** — non-finite k-space sample values and density
 //!    weights are rejected with a data error before they can reach a
 //!    plan or a persisted snapshot.
+//! 8. **Verified hits** — an entry resident under a request's key but
+//!    built from another trajectory (a hash collision) is a miss, and
+//!    the rebuilt entry replaces it.
 
 use jigsaw::core::budget::RunBudget;
 use jigsaw::core::gridding::SerialGridder;
 use jigsaw::core::serve::{
-    decode_snapshot, encode_snapshot, plan_key, snapshot, trajectory_hash, JobRequest, PlanCache,
-    Priority, ServeEngine, SnapshotEntry,
+    decode_snapshot, encode_snapshot, plan_key, snapshot, trajectory_hash, CachedPlan, JobRequest,
+    PlanCache, Priority, ServeEngine, SnapshotEntry,
 };
 use jigsaw::core::{NufftConfig, NufftPlan};
 use jigsaw::num::C64;
@@ -264,6 +267,45 @@ fn same_shape_different_content_trajectories_never_alias() {
         bits_eq(&original.image, &cold_reference(N, &coords, &values)),
         "original result must match its own cold run"
     );
+}
+
+/// Property 8: the key alone never decides a hit. An entry stored under
+/// trajectory A's key but built from trajectory B (what a
+/// `trajectory_hash` collision would leave behind) must not serve A: the
+/// job reports a miss, returns A's cold serial image bit for bit, and
+/// its rebuilt entry replaces the impostor.
+#[test]
+fn colliding_entry_is_a_miss_and_is_replaced() {
+    const N: usize = 16;
+    let cfg = NufftConfig::with_n(N);
+    let (coords_a, values_a) = problem(N, 80, 41);
+    let (coords_b, _) = problem(N, 80, 43);
+    let engine = ServeEngine::new(4);
+    let plan = NufftPlan::<f64, 2>::new(cfg.clone()).unwrap();
+    let impostor = Arc::new(CachedPlan {
+        key: plan_key(&cfg, &coords_a),
+        cfg: cfg.clone(),
+        traj: plan.plan_trajectory(&coords_b).unwrap(),
+        plan,
+        coords: coords_b.as_slice().into(),
+        weights: Arc::from([] as [f64; 0]),
+        toeplitz: None,
+    });
+    engine.cache().insert(Arc::clone(&impostor));
+
+    let req = request(1, N, &coords_a, &values_a);
+    let res = engine.execute(&req, &RunBudget::unlimited()).unwrap();
+    assert!(!res.cache_hit, "an entry built from B must not serve A");
+    assert!(
+        bits_eq(&res.image, &cold_reference(N, &coords_a, &values_a)),
+        "A must be gridded with its own plan"
+    );
+    assert_eq!(engine.cache().len(), 1, "the rebuilt entry replaces B's");
+    assert_eq!(engine.cache().hits(), 0);
+
+    let again = engine.execute(&req, &RunBudget::unlimited()).unwrap();
+    assert!(again.cache_hit, "A's own entry now serves A");
+    assert!(bits_eq(&again.image, &res.image));
 }
 
 /// A randomized snapshot-entry set: plan entries with assorted shapes,
