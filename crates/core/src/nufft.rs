@@ -495,13 +495,14 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         let dec = Decomposer::new(p);
         let g = p.grid as f64;
         // The same `u = (ν mod 1)·G` as `map_coords`, without the
-        // intermediate buffer.
-        let decomps: Vec<[DimDecomp; D]> = coords
+        // intermediate buffer, collected straight into the shared slice
+        // (one allocation, no copy out of a `Vec`).
+        let decomps: Arc<[[DimDecomp; D]]> = coords
             .iter()
             .map(|c| dec.decompose_sample(&core::array::from_fn(|d| c[d].rem_euclid(1.0) * g)))
             .collect();
         Ok(PlannedTrajectory {
-            decomps: decomps.into(),
+            decomps,
             grid: p.grid,
             width: p.width,
             table_oversampling: p.table_oversampling,

@@ -15,16 +15,19 @@
 //! `f64` bit pattern, not just the sample count — together with every
 //! parameter that shapes the planning output: grid size, kernel width,
 //! table oversampling, tile, oversampling factor, and the resolved
-//! kernel (family + shape parameter bits). Two same-shape trajectories
-//! with different coordinates therefore *never* alias a plan, and two
-//! spellings of the same kernel (`Auto` vs. its resolved Kaiser-Bessel)
-//! share one entry.
+//! kernel (family + shape parameter bits). Two spellings of the same
+//! kernel (`Auto` vs. its resolved Kaiser-Bessel) share one entry.
 //!
 //! The key only hashes the trajectory, so a hit is verified: the entry's
 //! stored coordinates (and, for Toeplitz kernels, its density weights)
 //! must equal the request's bit for bit, or the lookup counts as a miss
-//! and the rebuilt entry replaces the resident one. A `trajectory_hash`
-//! collision therefore costs a rebuild, never a wrong image.
+//! and the rebuilt entry replaces the resident one. Two same-shape
+//! trajectories with different coordinates therefore never share a
+//! plan, and a `trajectory_hash` collision costs a rebuild, never a
+//! wrong image. That is why [`trajectory_hash`] can be cheap: it takes
+//! one FNV-1a step per 8-byte coordinate word, and it runs on every
+//! served request, hit or miss. Snapshots store rebuild inputs, not
+//! keys, so the hash can change without touching the snapshot format.
 //!
 //! Toeplitz normal-operator kernels are cached in the same LRU (see
 //! [`PlanCache::get_or_build_toeplitz`]): their keys carry the doubled
@@ -67,7 +70,7 @@ pub struct PlanKey {
     pub kernel_fp: u64,
     /// Number of trajectory samples.
     pub samples: usize,
-    /// FNV-1a hash of every coordinate's bit pattern (see
+    /// Word-wise FNV-1a hash of every coordinate's bit pattern (see
     /// [`trajectory_hash`]).
     pub traj_hash: u64,
     /// Density-weights hash: [`WEIGHT_INDEPENDENT`] (zero) for plan
@@ -94,17 +97,23 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over the sample count and every coordinate's `f64` bit
-/// pattern, in order. This is the stale-plan fix: identical shapes with
-/// different contents hash apart (sample order matters too — planned
-/// scatter replays samples in order, so order is part of identity).
+/// Word-wise FNV-1a over the sample count and every coordinate's `f64`
+/// bit pattern, in order: one xor-multiply step per 8-byte word, not
+/// per byte. Identical shapes with different contents hash apart, and
+/// sample order is part of identity (planned scatter replays samples in
+/// order). Each step is a bijection of the running state, so two
+/// trajectories that differ in a single coordinate never collide. The
+/// key does not have to be collision-free: every hit is verified
+/// against the entry's stored coordinates bit for bit, so a collision
+/// costs a rebuild, never a wrong image.
 pub fn trajectory_hash(coords: &[[f64; 2]]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(coords.len() as u64).to_le_bytes());
-    for c in coords {
-        h = fnv1a(h, &c[0].to_bits().to_le_bytes());
-        h = fnv1a(h, &c[1].to_bits().to_le_bytes());
-    }
-    h
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(FNV_PRIME);
+    coords
+        .as_flattened()
+        .iter()
+        .fold(step(FNV_OFFSET, coords.len() as u64), |h, x| {
+            step(h, x.to_bits())
+        })
 }
 
 /// Fingerprint of a *resolved* kernel: family discriminant mixed with

@@ -618,7 +618,7 @@ fn send(reply: &Reply, frame: &Frame, request_id: u64, tag: u64) {
 /// registered with the watchdog for the duration of their run.
 fn run_executor(d: &Daemon) {
     loop {
-        let job = match d.queue.pop_one() {
+        let mut job = match d.queue.pop_one() {
             Popped::Job(job) => job,
             Popped::Expired(job) => {
                 d.shed(job, ShedReason::DeadlineExpired);
@@ -648,6 +648,11 @@ fn run_executor(d: &Daemon) {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .remove(&job.request_id);
+        // The reply needs only the image: free the request's samples
+        // (32 bytes each) before the write, which can block on a slow
+        // client.
+        job.req.coords = Vec::new();
+        job.req.values = Vec::new();
         send(&job.reply, &frame, job.request_id, job.req.tag);
     }
 }
@@ -1039,6 +1044,34 @@ mod tests {
         assert_eq!(result.len(), 1);
         assert_eq!(result[0].tag, 42);
         assert_eq!(result[0].image.len(), 64);
+    }
+
+    #[test]
+    fn hostile_n_gets_a_tagged_config_error() {
+        // `16·n²` overflows 64 bits for both sizes: the admission ledger
+        // must neither panic nor wrap, and the job must reach the
+        // executor's validation, which answers with its tag.
+        let frames: Vec<Frame> = [(71, 1u32 << 30), (72, u32::MAX)]
+            .into_iter()
+            .map(|(tag, n)| {
+                let mut req = request(tag, Priority::Normal);
+                req.n = n;
+                Frame::Submit(req)
+            })
+            .collect();
+        let replies = run_session(&frames, &ServeOptions::default());
+        let mut errors: Vec<(u64, ErrorCategory)> = replies
+            .iter()
+            .map(|f| match f {
+                Frame::Error(e) => (e.tag, e.category),
+                other => panic!("expected an error frame, got {other:?}"),
+            })
+            .collect();
+        errors.sort_unstable_by_key(|&(tag, _)| tag);
+        assert_eq!(
+            errors,
+            vec![(71, ErrorCategory::Config), (72, ErrorCategory::Config)]
+        );
     }
 
     #[test]

@@ -39,6 +39,15 @@
 //! · nf u32 · nf×(ts_ns u64 · kind u8 · request_id u64 · tag u64 · detail str)
 //! ```
 //!
+//! `Submit` and `Result` frames carry their arrays in bulk, and one
+//! serializer and one deserializer move them. [`read_frame`] reads the
+//! fixed fields and checks the declared length against `m` (or `n`,
+//! which must not exceed [`MAX_N`]) before it allocates anything; only
+//! then does it convert the arrays straight off the reader, through one
+//! 64 KiB staging buffer. [`write_frame`] stages the arrays the same
+//! way, and [`encode`] is `write_frame` into an exactly sized `Vec`.
+//! Neither side ever holds a payload-sized byte buffer.
+//!
 //! A frame that violates the grammar (bad magic, unknown version or
 //! kind, length out of bounds, payload shorter than its own counts
 //! claim) decodes to [`ProtocolError::Malformed`]; the daemon answers
@@ -179,10 +188,17 @@ impl JobRequest {
     /// Rough resident cost of holding this job queued: the sample
     /// arrays (32 bytes per sample) plus the `n²` complex image (16
     /// bytes per pixel) an executor will allocate to answer it. Used by
-    /// the daemon's `max_queued_bytes` admission ledger.
+    /// the daemon's `max_queued_bytes` admission ledger. The image term
+    /// is capped at [`MAX_N`]`²` pixels: an executor refuses a larger
+    /// `n` before it allocates anything, so a hostile `n` can neither
+    /// overflow the ledger nor be charged less than a real job.
     pub fn approx_bytes(&self) -> usize {
-        32 * self.coords.len().max(self.values.len())
-            + 16 * (self.n as usize).saturating_mul(self.n as usize)
+        let side = self.n.min(MAX_N) as usize;
+        self.coords
+            .len()
+            .max(self.values.len())
+            .saturating_mul(32)
+            .saturating_add(16 * side * side)
     }
 }
 
@@ -360,6 +376,11 @@ impl From<io::Error> for ProtocolError {
 // Encoding
 // ---------------------------------------------------------------------------
 
+/// Bytes per staged `read`/`write` while the `Submit` and `Result`
+/// arrays cross the stream: a 4 MB submit moves in 64 stages, and each
+/// stage stays in L2 while it is converted.
+const STAGE_BYTES: usize = 1 << 16;
+
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -434,67 +455,152 @@ fn push_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
     }
 }
 
-/// Serialize a frame (header + payload) into a fresh byte vector.
-pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
+/// Bytes of the bulk arrays (`Submit` coordinates and values, `Result`
+/// image) that follow a frame's [`head`] on the wire.
+fn bulk_len(frame: &Frame) -> usize {
     match frame {
-        Frame::Submit(req) => {
-            push_u64(&mut payload, req.tag);
-            payload.push(req.priority.as_u8());
-            payload.push(0);
-            push_u32(&mut payload, req.n);
-            push_u32(&mut payload, req.budget_ms);
-            push_u32(&mut payload, req.coords.len() as u32);
-            for c in &req.coords {
-                push_f64(&mut payload, c[0]);
-                push_f64(&mut payload, c[1]);
-            }
-            for v in &req.values {
-                push_f64(&mut payload, v.re);
-                push_f64(&mut payload, v.im);
-            }
-        }
-        Frame::Result(res) => {
-            push_u64(&mut payload, res.tag);
-            payload.push(u8::from(res.cache_hit));
-            payload.push(0);
-            push_u32(&mut payload, res.n);
-            for z in &res.image {
-                push_f64(&mut payload, z.re);
-                push_f64(&mut payload, z.im);
-            }
-        }
-        Frame::Error(err) => {
-            push_u64(&mut payload, err.tag);
-            payload.push(err.category.as_u8());
-            payload.push(0);
-            push_u32(&mut payload, err.message.len() as u32);
-            payload.extend_from_slice(err.message.as_bytes());
-        }
-        Frame::StatsReply(s) => push_stats(&mut payload, s),
-        Frame::Overloaded(o) => {
-            push_u64(&mut payload, o.tag);
-            payload.push(o.reason.as_u8());
-            payload.push(0);
-            push_u32(&mut payload, o.retry_after_ms);
-            push_u32(&mut payload, o.message.len() as u32);
-            payload.extend_from_slice(o.message.as_bytes());
-        }
-        Frame::Ping | Frame::Pong | Frame::Shutdown | Frame::StatsRequest | Frame::Drain => {}
+        Frame::Submit(req) => 16 * (req.coords.len() + req.values.len()),
+        Frame::Result(res) => 16 * res.image.len(),
+        _ => 0,
     }
-    let mut out = Vec::with_capacity(10 + payload.len());
+}
+
+/// The 10-byte header plus every payload byte that is not a bulk
+/// array: the fixed fields of `Submit` and `Result`, the whole payload
+/// of every other kind. The length field covers the arrays too.
+fn head(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::with_capacity(32);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(frame.kind());
-    push_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    push_u32(&mut out, 0);
+    match frame {
+        Frame::Submit(req) => {
+            push_u64(&mut out, req.tag);
+            out.push(req.priority.as_u8());
+            out.push(0);
+            push_u32(&mut out, req.n);
+            push_u32(&mut out, req.budget_ms);
+            push_u32(&mut out, req.coords.len() as u32);
+        }
+        Frame::Result(res) => {
+            push_u64(&mut out, res.tag);
+            out.push(u8::from(res.cache_hit));
+            out.push(0);
+            push_u32(&mut out, res.n);
+        }
+        Frame::Error(err) => {
+            push_u64(&mut out, err.tag);
+            out.push(err.category.as_u8());
+            out.push(0);
+            push_u32(&mut out, err.message.len() as u32);
+            out.extend_from_slice(err.message.as_bytes());
+        }
+        Frame::StatsReply(s) => push_stats(&mut out, s),
+        Frame::Overloaded(o) => {
+            push_u64(&mut out, o.tag);
+            out.push(o.reason.as_u8());
+            out.push(0);
+            push_u32(&mut out, o.retry_after_ms);
+            push_u32(&mut out, o.message.len() as u32);
+            out.extend_from_slice(o.message.as_bytes());
+        }
+        Frame::Ping | Frame::Pong | Frame::Shutdown | Frame::StatsRequest | Frame::Drain => {}
+    }
+    let payload_len = (out.len() - 10 + bulk_len(frame)) as u32;
+    out[6..10].copy_from_slice(&payload_len.to_le_bytes());
     out
 }
 
-/// Write one frame and flush.
+/// Serialize a frame (header + payload) into an exactly sized byte
+/// vector: [`write_frame`] into memory.
+pub fn encode(frame: &Frame) -> Vec<u8> {
+    let head = head(frame);
+    let mut out = Vec::with_capacity(head.len() + bulk_len(frame));
+    // Writing into a `Vec` cannot fail.
+    let _ = write_staged(&mut out, &head, frame);
+    out
+}
+
+/// Write one frame and flush. The bulk arrays are converted to
+/// little-endian bytes one [`STAGE_BYTES`] stage at a time, so no
+/// payload-sized buffer is ever allocated.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    w.write_all(&encode(frame))?;
+    write_staged(w, &head(frame), frame)?;
     w.flush()
+}
+
+fn write_staged<W: Write + ?Sized>(w: &mut W, head: &[u8], frame: &Frame) -> io::Result<()> {
+    let mut stage = Stage::new(w, head.len() + bulk_len(frame));
+    stage.put(head)?;
+    match frame {
+        Frame::Submit(req) => {
+            stage.put_pairs(&req.coords, |c| *c)?;
+            stage.put_pairs(&req.values, |v| [v.re, v.im])?;
+        }
+        Frame::Result(res) => stage.put_pairs(&res.image, |z| [z.re, z.im])?,
+        _ => {}
+    }
+    stage.flush()
+}
+
+/// A fixed staging buffer between the encoder and the stream: the
+/// frame leaves it in writes of at most [`STAGE_BYTES`].
+struct Stage<'w, W: Write + ?Sized> {
+    w: &'w mut W,
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl<'w, W: Write + ?Sized> Stage<'w, W> {
+    /// A stage for a frame of `frame_len` bytes.
+    fn new(w: &'w mut W, frame_len: usize) -> Self {
+        Self {
+            w,
+            buf: vec![0; frame_len.min(STAGE_BYTES)],
+            filled: 0,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.buf[..self.filled])?;
+        self.filled = 0;
+        Ok(())
+    }
+
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.filled + bytes.len() > self.buf.len() {
+            self.flush()?;
+            if bytes.len() > self.buf.len() {
+                return self.w.write_all(bytes);
+            }
+        }
+        self.buf[self.filled..self.filled + bytes.len()].copy_from_slice(bytes);
+        self.filled += bytes.len();
+        Ok(())
+    }
+
+    /// Stage `items` as consecutive `f64` pairs.
+    fn put_pairs<T>(&mut self, mut items: &[T], pair: impl Fn(&T) -> [f64; 2]) -> io::Result<()> {
+        while !items.is_empty() {
+            let room = (self.buf.len() - self.filled) / 16;
+            if room == 0 {
+                self.flush()?;
+                continue;
+            }
+            let (chunk, rest) = items.split_at(room.min(items.len()));
+            let len = 16 * chunk.len();
+            let (words, _) = self.buf[self.filled..self.filled + len].as_chunks_mut::<8>();
+            let (pairs, _) = words.as_chunks_mut::<2>();
+            for (d, item) in pairs.iter_mut().zip(chunk) {
+                let [a, b] = pair(item);
+                *d = [a.to_le_bytes(), b.to_le_bytes()];
+            }
+            self.filled += len;
+            items = rest;
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -728,74 +834,130 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtocolError> {
             "payload length {len} exceeds maximum {MAX_PAYLOAD}"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode_payload(kind, &payload)
+    let len = len as usize;
+    match kind {
+        1 => read_submit(r, len),
+        2 => read_result(r, len),
+        _ => {
+            let mut payload = vec![0u8; len];
+            r.read_exact(&mut payload)?;
+            decode_payload(kind, &payload)
+        }
+    }
 }
 
+/// Bytes of a `Submit` payload ahead of its arrays.
+const SUBMIT_FIXED: usize = 22;
+
+/// Bytes of a `Result` payload ahead of its image.
+const RESULT_FIXED: usize = 14;
+
+/// Read the first `N` bytes of a `len`-byte payload. A payload shorter
+/// than that is consumed and reported as truncated.
+fn read_fixed<const N: usize, R: Read>(r: &mut R, len: usize) -> Result<[u8; N], ProtocolError> {
+    let mut fixed = [0u8; N];
+    r.read_exact(&mut fixed[..len.min(N)])?;
+    if len < N {
+        return Err(ProtocolError::Malformed(format!(
+            "payload truncated: {len} bytes cannot hold the {N}-byte fixed fields"
+        )));
+    }
+    Ok(fixed)
+}
+
+/// Stream a `Submit` payload: the fixed fields first, then — once the
+/// declared length matches the sample count — the arrays, straight off
+/// the reader.
+fn read_submit<R: Read>(r: &mut R, len: usize) -> Result<Frame, ProtocolError> {
+    let fixed = read_fixed::<SUBMIT_FIXED, R>(r, len)?;
+    let mut c = Cursor::new(&fixed);
+    let tag = c.u64()?;
+    let pr = c.u8()?;
+    let priority = Priority::from_u8(pr)
+        .ok_or_else(|| ProtocolError::Malformed(format!("bad priority byte {pr}")))?;
+    let _reserved = c.u8()?;
+    let n = c.u32()?;
+    let budget_ms = c.u32()?;
+    let m = c.u32()? as usize;
+    // Two f64 per coordinate plus two per value: 32 bytes/sample.
+    let expected = SUBMIT_FIXED as u64 + 32 * m as u64;
+    if len as u64 != expected {
+        return Err(ProtocolError::Malformed(format!(
+            "submit frame with m = {m} must carry {expected} payload bytes, got {len}"
+        )));
+    }
+    let mut stage = vec![0u8; (16 * m).min(STAGE_BYTES)];
+    let coords = read_pairs(r, m, &mut stage, |a, b| [a, b])?;
+    let values = read_pairs(r, m, &mut stage, C64::new)?;
+    Ok(Frame::Submit(JobRequest {
+        tag,
+        priority,
+        n,
+        budget_ms,
+        coords,
+        values,
+    }))
+}
+
+/// Stream a `Result` payload; an `n` above [`MAX_N`] is malformed
+/// before any length arithmetic.
+fn read_result<R: Read>(r: &mut R, len: usize) -> Result<Frame, ProtocolError> {
+    let fixed = read_fixed::<RESULT_FIXED, R>(r, len)?;
+    let mut c = Cursor::new(&fixed);
+    let tag = c.u64()?;
+    let cache_hit = c.u8()? != 0;
+    let _reserved = c.u8()?;
+    let n = c.u32()?;
+    if n > MAX_N {
+        return Err(ProtocolError::Malformed(format!(
+            "result frame with n = {n} exceeds maximum {MAX_N}"
+        )));
+    }
+    let pixels = n as usize * n as usize;
+    let expected = RESULT_FIXED + 16 * pixels;
+    if len != expected {
+        return Err(ProtocolError::Malformed(format!(
+            "result frame with n = {n} must carry {expected} payload bytes, got {len}"
+        )));
+    }
+    let mut stage = vec![0u8; (16 * pixels).min(STAGE_BYTES)];
+    let image = read_pairs(r, pixels, &mut stage, C64::new)?;
+    Ok(Frame::Result(JobResult {
+        tag,
+        cache_hit,
+        n,
+        image,
+    }))
+}
+
+/// Read `count` little-endian `f64` pairs through `stage`, building one
+/// item per pair.
+fn read_pairs<R: Read, T>(
+    r: &mut R,
+    count: usize,
+    stage: &mut [u8],
+    make: impl Fn(f64, f64) -> T,
+) -> Result<Vec<T>, ProtocolError> {
+    let mut out = Vec::with_capacity(count);
+    while out.len() < count {
+        let k = (count - out.len()).min(stage.len() / 16);
+        let bytes = &mut stage[..16 * k];
+        r.read_exact(bytes)?;
+        let (words, _) = bytes.as_chunks::<8>();
+        let (pairs, _) = words.as_chunks::<2>();
+        out.extend(
+            pairs
+                .iter()
+                .map(|[a, b]| make(f64::from_le_bytes(*a), f64::from_le_bytes(*b))),
+        );
+    }
+    Ok(out)
+}
+
+/// Decode the payload of a non-bulk frame kind.
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
     let mut c = Cursor::new(payload);
     match kind {
-        1 => {
-            let tag = c.u64()?;
-            let pr = c.u8()?;
-            let priority = Priority::from_u8(pr)
-                .ok_or_else(|| ProtocolError::Malformed(format!("bad priority byte {pr}")))?;
-            let _reserved = c.u8()?;
-            let n = c.u32()?;
-            let budget_ms = c.u32()?;
-            let m = c.u32()? as usize;
-            // Two f64 per coordinate plus two per value: 32 bytes/sample.
-            let expected = 22 + 32 * m as u64;
-            if payload.len() as u64 != expected {
-                return Err(ProtocolError::Malformed(format!(
-                    "submit frame with m = {m} must carry {expected} payload bytes, got {}",
-                    payload.len()
-                )));
-            }
-            let mut coords = Vec::with_capacity(m);
-            for _ in 0..m {
-                coords.push([c.f64()?, c.f64()?]);
-            }
-            let mut values = Vec::with_capacity(m);
-            for _ in 0..m {
-                values.push(C64::new(c.f64()?, c.f64()?));
-            }
-            c.finish()?;
-            Ok(Frame::Submit(JobRequest {
-                tag,
-                priority,
-                n,
-                budget_ms,
-                coords,
-                values,
-            }))
-        }
-        2 => {
-            let tag = c.u64()?;
-            let cache_hit = c.u8()? != 0;
-            let _reserved = c.u8()?;
-            let n = c.u32()?;
-            let pixels = (n as u64) * (n as u64);
-            let expected = 14 + 16 * pixels;
-            if payload.len() as u64 != expected {
-                return Err(ProtocolError::Malformed(format!(
-                    "result frame with n = {n} must carry {expected} payload bytes, got {}",
-                    payload.len()
-                )));
-            }
-            let mut image = Vec::with_capacity(pixels as usize);
-            for _ in 0..pixels {
-                image.push(C64::new(c.f64()?, c.f64()?));
-            }
-            c.finish()?;
-            Ok(Frame::Result(JobResult {
-                tag,
-                cache_hit,
-                n,
-                image,
-            }))
-        }
         3 => {
             let tag = c.u64()?;
             let cat = c.u8()?;
@@ -1143,6 +1305,292 @@ mod tests {
             }
             let _ = read_frame(&mut io::Cursor::new(mutated));
         }
+    }
+
+    /// Values a bitwise codec must carry unchanged: NaNs with payload
+    /// bits (quiet, signalling, negative), signed zeros, subnormals,
+    /// infinities and the extremes.
+    const SPECIALS: [u64; 12] = [
+        0x7FF8_0000_0000_0001,
+        0x7FF0_0000_0000_0001,
+        0xFFF8_DEAD_BEEF_0001,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800F_FFFF_FFFF_FFFF,
+        0x7FF0_0000_0000_0000,
+        0xFFF0_0000_0000_0000,
+        0x7FEF_FFFF_FFFF_FFFF,
+        0x0010_0000_0000_0000,
+        0x3FD0_0000_0000_0000,
+    ];
+
+    /// Special values first, then random bit patterns.
+    fn word(rng: &mut jigsaw_testkit::Rng, i: usize) -> f64 {
+        f64::from_bits(SPECIALS.get(i).copied().unwrap_or_else(|| rng.u64()))
+    }
+
+    fn submit_of(rng: &mut jigsaw_testkit::Rng, m: usize) -> Frame {
+        Frame::Submit(JobRequest {
+            tag: rng.u64(),
+            priority: if rng.bool(0.5) {
+                Priority::High
+            } else {
+                Priority::Normal
+            },
+            n: rng.u32(),
+            budget_ms: rng.u32(),
+            coords: (0..m)
+                .map(|i| [word(rng, 2 * i), word(rng, 2 * i + 1)])
+                .collect(),
+            values: (0..m)
+                .map(|i| C64::new(word(rng, 2 * i + 1), word(rng, 2 * i)))
+                .collect(),
+        })
+    }
+
+    fn result_of(rng: &mut jigsaw_testkit::Rng, n: u32) -> Frame {
+        Frame::Result(JobResult {
+            tag: rng.u64(),
+            cache_hit: rng.bool(0.5),
+            n,
+            image: (0..(n * n) as usize)
+                .map(|i| C64::new(word(rng, 2 * i), word(rng, 2 * i + 1)))
+                .collect(),
+        })
+    }
+
+    /// Every `f64` of a bulk frame as raw bits, after its fixed fields.
+    fn bits(f: &Frame) -> (Vec<u8>, Vec<u64>) {
+        match f {
+            Frame::Submit(r) => (
+                head(f),
+                r.coords
+                    .as_flattened()
+                    .iter()
+                    .chain(r.values.iter().flat_map(|v| [&v.re, &v.im]))
+                    .map(|x| x.to_bits())
+                    .collect(),
+            ),
+            Frame::Result(r) => (
+                head(f),
+                r.image
+                    .iter()
+                    .flat_map(|v| [v.re, v.im])
+                    .map(f64::to_bits)
+                    .collect(),
+            ),
+            other => panic!("not a bulk frame: {other:?}"),
+        }
+    }
+
+    /// A reader that hands out at most `k` bytes per `read` call.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        k: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.k).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Encode `f`, check `write_frame` writes the same bytes, and decode
+    /// them whole and through readers that return at most 1, 7, 16 and
+    /// 65 537 bytes per call: every decode must equal `f` bit for bit.
+    fn assert_bulk_round_trip(f: &Frame) {
+        let bytes = encode(f);
+        assert_eq!(
+            bytes.len(),
+            bytes.capacity(),
+            "encode sizes its Vec exactly"
+        );
+        let mut written = Vec::new();
+        write_frame(&mut written, f).expect("write to Vec");
+        assert_eq!(written, bytes, "encode and write_frame must agree");
+        let want = bits(f);
+        let mut r = io::Cursor::new(&bytes);
+        let back = read_frame(&mut r).expect("decode");
+        assert!(matches!(read_frame(&mut r), Err(ProtocolError::Eof)));
+        assert_eq!(bits(&back), want);
+        for k in [1, 7, 16, 65_537] {
+            let mut t = Trickle { bytes: &bytes, k };
+            let back = read_frame(&mut t).expect("trickled decode");
+            assert_eq!(bits(&back), want, "reader returning ≤ {k} bytes per call");
+            assert!(t.bytes.is_empty());
+        }
+    }
+
+    #[test]
+    fn bulk_frames_round_trip_bitwise_across_stage_boundaries() {
+        let mut rng = jigsaw_testkit::Rng::new(0x5EED);
+        // One stage holds 4096 pairs; 4094 pairs fill the first write
+        // stage behind a Submit's 32 head bytes.
+        for m in [0usize, 1, 4093, 4094, 4095, 4096, 4097, 8193] {
+            assert_bulk_round_trip(&submit_of(&mut rng, m));
+        }
+        // 64² = 4096 pixels fills one stage; 63² and 65² straddle it.
+        for n in [0u32, 1, 2, 63, 64, 65, 91] {
+            assert_bulk_round_trip(&result_of(&mut rng, n));
+        }
+        jigsaw_testkit::cases!(8, |rng| {
+            let m = rng.usize_range(0, 20_000);
+            assert_bulk_round_trip(&submit_of(rng, m));
+            let n = rng.usize_range(0, 160) as u32;
+            assert_bulk_round_trip(&result_of(rng, n));
+        });
+    }
+
+    /// Little-endian bytes of an `f64` given by its bit pattern.
+    fn le(bits: u64) -> [u8; 8] {
+        bits.to_le_bytes()
+    }
+
+    #[test]
+    fn bulk_wire_bytes_follow_the_layout_table() {
+        let submit = Frame::Submit(JobRequest {
+            tag: 0x0102_0304_0506_0708,
+            priority: Priority::High,
+            n: 64,
+            budget_ms: 250,
+            coords: vec![[0.25, -0.5], [f64::from_bits(0x7FF8_0000_0000_0001), -0.0]],
+            values: vec![
+                C64::new(1.5, f64::INFINITY),
+                C64::new(f64::from_bits(1), -2.0),
+            ],
+        });
+        let mut want = vec![b'J', b'G', b'S', b'W', 1, 1, 86, 0, 0, 0];
+        want.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]); // tag
+        want.extend_from_slice(&[1, 0]); // priority High · reserved
+        want.extend_from_slice(&[64, 0, 0, 0]); // n
+        want.extend_from_slice(&[250, 0, 0, 0]); // budget_ms
+        want.extend_from_slice(&[2, 0, 0, 0]); // m
+        for b in [
+            0x3FD0_0000_0000_0000, // 0.25
+            0xBFE0_0000_0000_0000, // -0.5
+            0x7FF8_0000_0000_0001, // NaN with payload
+            0x8000_0000_0000_0000, // -0.0
+            0x3FF8_0000_0000_0000, // 1.5
+            0x7FF0_0000_0000_0000, // +inf
+            0x0000_0000_0000_0001, // 5e-324
+            0xC000_0000_0000_0000, // -2.0
+        ] {
+            want.extend_from_slice(&le(b));
+        }
+        assert_eq!(want.len(), 10 + 86);
+        assert_eq!(encode(&submit), want);
+        let mut written = Vec::new();
+        write_frame(&mut written, &submit).unwrap();
+        assert_eq!(written, want);
+
+        let result = Frame::Result(JobResult {
+            tag: 0xAB,
+            cache_hit: true,
+            n: 1,
+            image: vec![C64::new(-0.0, 0.25)],
+        });
+        let mut want = vec![b'J', b'G', b'S', b'W', 1, 2, 30, 0, 0, 0];
+        want.extend_from_slice(&[0xAB, 0, 0, 0, 0, 0, 0, 0]); // tag
+        want.extend_from_slice(&[1, 0]); // cache_hit · reserved
+        want.extend_from_slice(&[1, 0, 0, 0]); // n
+        want.extend_from_slice(&le(0x8000_0000_0000_0000));
+        want.extend_from_slice(&le(0x3FD0_0000_0000_0000));
+        assert_eq!(encode(&result), want);
+        let mut written = Vec::new();
+        write_frame(&mut written, &result).unwrap();
+        assert_eq!(written, want);
+    }
+
+    /// Small bulk frames for the truncation and fuzz tests.
+    fn small_bulk_frames() -> [Vec<u8>; 2] {
+        let mut rng = jigsaw_testkit::Rng::new(0xF022);
+        [
+            encode(&submit_of(&mut rng, 5)),
+            encode(&result_of(&mut rng, 3)),
+        ]
+    }
+
+    #[test]
+    fn bulk_truncation_never_panics() {
+        for bytes in small_bulk_frames() {
+            for cut in 0..bytes.len() {
+                let e = read_frame(&mut io::Cursor::new(&bytes[..cut])).unwrap_err();
+                assert!(
+                    matches!(
+                        e,
+                        ProtocolError::Io(_) | ProtocolError::Malformed(_) | ProtocolError::Eof
+                    ),
+                    "cut at {cut}: {e:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_fuzz_decode_is_total() {
+        let mut state = 0x51A7_E5EE_D0C0_FFEEu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state
+        };
+        for bytes in small_bulk_frames() {
+            for _ in 0..2_000 {
+                let mut mutated = bytes.clone();
+                let flips = 1 + (next() % 4) as usize;
+                for _ in 0..flips {
+                    let idx = (next() % mutated.len() as u64) as usize;
+                    mutated[idx] ^= (next() & 0xFF) as u8;
+                }
+                let _ = read_frame(&mut io::Cursor::new(mutated));
+            }
+        }
+    }
+
+    #[test]
+    fn result_with_hostile_n_is_malformed() {
+        // payload_len 14 and n = 2^30: `16·n²` wraps to 0 in 64 bits, so
+        // only the MAX_N check stands between this frame and a
+        // capacity-overflow panic.
+        let mut bytes = vec![b'J', b'G', b'S', b'W', VERSION, 2, 14, 0, 0, 0];
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0]);
+        bytes.extend_from_slice(&(1u32 << 30).to_le_bytes());
+        assert_eq!(bytes.len(), 24);
+        let e = read_frame(&mut io::Cursor::new(bytes)).unwrap_err();
+        assert!(matches!(e, ProtocolError::Malformed(_)), "{e:?}");
+        // One past the largest served image is malformed too.
+        let e = read_frame(&mut io::Cursor::new(encode(&Frame::Result(JobResult {
+            tag: 1,
+            cache_hit: false,
+            n: MAX_N + 1,
+            image: Vec::new(),
+        }))))
+        .unwrap_err();
+        assert!(matches!(e, ProtocolError::Malformed(_)), "{e:?}");
+    }
+
+    #[test]
+    fn approx_bytes_caps_a_hostile_n() {
+        let req = |n| JobRequest {
+            tag: 1,
+            priority: Priority::Normal,
+            n,
+            budget_ms: 0,
+            coords: vec![[0.0; 2]; 3],
+            values: vec![C64::new(0.0, 0.0); 3],
+        };
+        let largest = req(MAX_N).approx_bytes();
+        assert_eq!(largest, 32 * 3 + 16 * (MAX_N as usize).pow(2));
+        for n in [MAX_N + 1, 1 << 30, u32::MAX] {
+            assert_eq!(req(n).approx_bytes(), largest, "n = {n}");
+        }
+        assert_eq!(req(8).approx_bytes(), 32 * 3 + 16 * 64);
     }
 
     #[test]

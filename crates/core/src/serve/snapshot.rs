@@ -1,8 +1,8 @@
 //! Durable on-disk snapshots of the serving plan cache.
 //!
 //! A restart — deploy, crash, OOM-kill — normally throws away every
-//! cached plan and replays the cold-planning cliff
-//! (`BENCH_serve_soak.json` puts warm/cold at ~0.27). This module
+//! cached plan and replays the cold-planning cost
+//! (`BENCH_serve_soak.json` records warm/cold). This module
 //! defines a versioned, hand-rolled (std-only, no serde) snapshot
 //! format so [`super::PlanCache`] contents survive process lifetimes.
 //!
