@@ -1,11 +1,10 @@
 //! Microbenchmarks of the gridding engines (Fig. 6's measured
 //! substrate): serial baseline vs binned vs Slice-and-Dice variants on a
-//! fixed mid-size problem, on both execution backends.
+//! fixed mid-size problem.
 
 use jigsaw_bench::harness::BenchGroup;
 use jigsaw_bench::{eval_images, EvalImage};
 use jigsaw_core::config::GridParams;
-use jigsaw_core::engine::ExecBackend;
 use jigsaw_core::gridding::{
     BinnedGridder, Gridder, SerialGridder, SliceDiceGridder, SliceDiceMode,
 };
@@ -47,33 +46,22 @@ fn bench_engines() {
     let mut group = BenchGroup::new("gridding");
     group.sample_size(10).throughput_elements(m as u64);
 
-    let mut engines: Vec<(String, Box<dyn Gridder<f64, 2>>)> =
-        vec![("serial".into(), Box::new(SerialGridder))];
-    for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-        let tag = match backend {
-            ExecBackend::Pooled => "pooled",
-            ExecBackend::Scoped => "scoped",
-        };
-        engines.push((
-            format!("binned_{tag}"),
-            Box::new(BinnedGridder {
-                backend,
-                ..Default::default()
-            }),
-        ));
-        engines.push((
-            format!("slice_dice_serial_{tag}"),
-            Box::new(SliceDiceGridder::new(SliceDiceMode::Serial).with_backend(backend)),
-        ));
-        engines.push((
-            format!("slice_dice_parallel_{tag}"),
-            Box::new(SliceDiceGridder::new(SliceDiceMode::ColumnParallel).with_backend(backend)),
-        ));
-        engines.push((
-            format!("slice_dice_atomic_{tag}"),
-            Box::new(SliceDiceGridder::new(SliceDiceMode::BlockAtomic).with_backend(backend)),
-        ));
-    }
+    let engines: [(&str, Box<dyn Gridder<f64, 2>>); 5] = [
+        ("serial", Box::new(SerialGridder)),
+        ("binned", Box::new(BinnedGridder::default())),
+        (
+            "slice_dice_serial",
+            Box::new(SliceDiceGridder::new(SliceDiceMode::Serial)),
+        ),
+        (
+            "slice_dice_parallel",
+            Box::new(SliceDiceGridder::new(SliceDiceMode::ColumnParallel)),
+        ),
+        (
+            "slice_dice_atomic",
+            Box::new(SliceDiceGridder::new(SliceDiceMode::BlockAtomic)),
+        ),
+    ];
     for (name, engine) in &engines {
         group.bench_function(name, || {
             let mut out = vec![C64::zeroed(); g * g];

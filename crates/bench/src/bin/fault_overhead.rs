@@ -5,12 +5,12 @@
 //! contract two ways:
 //!
 //! 1. **Workload level**: the pooled slice-and-dice gridding problem from
-//!    `pooled_vs_scoped` is timed with fault points disarmed (default)
+//!    `pooled_engines` is timed with fault points disarmed (default)
 //!    and with a plan armed at a site the workload never hits (the armed
 //!    slow path taken on every evaluation, without ever firing). The
 //!    armed/disarmed ratio bounds the cost of the kill-switch check from
 //!    above; the disarmed median is directly comparable with the
-//!    `slice_dice_parallel_pooled` row of `BENCH_pooled_vs_scoped.json`
+//!    `slice_dice_parallel` row of `BENCH_pooled_engines.json`
 //!    (the ≤2 % acceptance gate — both files are regenerated on the same
 //!    machine).
 //! 2. **Call level**: the raw per-call cost of a disarmed

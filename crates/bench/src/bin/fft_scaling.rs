@@ -1,36 +1,32 @@
-//! Uniform-FFT scaling: serial strided walk vs cache-blocked serial vs
-//! pooled panel execution at 1/2/8 workers.
+//! Uniform-FFT scaling: serial strided walk vs cache-blocked serial.
 //!
 //! The paper's point of attack is gridding (99.6 % of NuFFT time on CPU,
-//! §I), but once gridding is parallel the *serial* uniform FFT becomes the
-//! Amdahl wall of a single-coil reconstruction. This bench quantifies the
-//! two layers of the fix and records them in `BENCH_fft_scaling.json`:
+//! §I), but once gridding is parallel the uniform FFT becomes a visible
+//! share of a single-coil reconstruction. This bench measures the
+//! cache-blocked pass against the line-at-a-time walk it replaced and
+//! records both in `BENCH_fft_scaling.json`:
 //!
 //! 1. `serial_naive` — the pre-blocking baseline: per-line strided
 //!    gather/scatter with one 1-D FFT call per line (what
 //!    `FftNd::process` did before cache-blocked panels).
 //! 2. `serial_blocked` — today's `FftNd::process`: gather `PANEL_LINES`
 //!    lines at a time into contiguous scratch, batched 1-D FFTs, scatter.
-//! 3. `pooled_{1,2,8}` — `FftNd::process_with` on a `WorkerPool` of that
-//!    size: the same deterministic panel partition fanned out over
-//!    persistent workers.
 //!
 //! Sizes cover every 1-D kernel class: 256² (radix-4), 320² (Bluestein,
-//! even), 255² (Bluestein, odd). Every variant's output is asserted
-//! **bitwise identical** to `serial_blocked` before timing is trusted.
+//! even), 255² (Bluestein, odd). The naive output is asserted **bitwise
+//! identical** to `serial_blocked` before timing is trusted.
 //!
 //! Run with `cargo run --release -p jigsaw-bench --bin fft_scaling`
 //! (append `--quick` for smoke runs).
 
 use jigsaw_bench::harness::{fmt_time, BenchGroup, Stats};
 use jigsaw_bench::HarnessArgs;
-use jigsaw_core::engine::WorkerPool;
 use jigsaw_fft::{Direction, Fft1d, FftNd};
 use jigsaw_num::C64;
 
 /// The pre-PR serial N-D pass: per-line strided gather, one 1-D FFT call
 /// per line, strided scatter. Kept here (not in the library) as the
-/// honest baseline the blocked/pooled paths are measured against.
+/// honest baseline the blocked path is measured against.
 fn naive_nd_process(dims: &[usize], plans: &[Fft1d<f64>], data: &mut [C64], dir: Direction) {
     let rank = dims.len();
     // Same axis order as `FftNd::process` (0 → rank−1) so the per-line
@@ -88,13 +84,11 @@ struct SizeSummary {
     kernel: &'static str,
     naive_median: f64,
     blocked_median: f64,
-    pooled8_median: f64,
 }
 
 fn bench_size(
     size: usize,
     kernel: &'static str,
-    pools: &[(usize, WorkerPool)],
     samples: usize,
     records: &mut Vec<JsonRecord>,
 ) -> SizeSummary {
@@ -103,7 +97,7 @@ fn bench_size(
     let naive_plans: Vec<Fft1d<f64>> = dims.iter().map(|&d| Fft1d::new(d)).collect();
     let input = random_grid(plan.len(), 0x5EED ^ size as u64);
 
-    // Reference output (and bitwise gate for every variant below).
+    // Reference output (and the bitwise gate for the naive walk below).
     let mut reference = input.clone();
     plan.process(&mut reference, Direction::Forward);
 
@@ -135,20 +129,6 @@ fn bench_size(
     });
     assert_bitwise(&buf, &reference, "serial_blocked");
     push(records, "serial_blocked", blocked);
-
-    let mut pooled8_median = f64::INFINITY;
-    for (workers, pool) in pools {
-        let id = format!("pooled_{workers}");
-        let stats = group.bench_function(&id, || {
-            buf.copy_from_slice(&input);
-            plan.process_with(pool, &mut buf, Direction::Forward);
-        });
-        assert_bitwise(&buf, &reference, &id);
-        push(records, &id, stats);
-        if *workers == 8 {
-            pooled8_median = stats.median;
-        }
-    }
     group.finish();
 
     SizeSummary {
@@ -156,7 +136,6 @@ fn bench_size(
         kernel,
         naive_median: naive.median,
         blocked_median: blocked.median,
-        pooled8_median,
     }
 }
 
@@ -188,12 +167,10 @@ fn write_json(
     s.push_str("  \"speedups\": [\n");
     for (i, m) in summaries.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"size\": {}, \"kernel\": \"{}\", \"blocked_over_naive\": {:.4}, \"pooled8_over_naive\": {:.4}, \"pooled8_over_blocked\": {:.4}}}{}\n",
+            "    {{\"size\": {}, \"kernel\": \"{}\", \"blocked_over_naive\": {:.4}}}{}\n",
             m.size,
             m.kernel,
             m.naive_median / m.blocked_median,
-            m.naive_median / m.pooled8_median,
-            m.blocked_median / m.pooled8_median,
             if i + 1 == summaries.len() { "" } else { "," }
         ));
     }
@@ -208,11 +185,7 @@ fn main() {
         println!("[quick mode: {samples} samples per point]");
     }
 
-    println!("=== Uniform-FFT scaling: serial vs blocked vs pooled ===\n");
-    let pools: Vec<(usize, WorkerPool)> = [1usize, 2, 8]
-        .into_iter()
-        .map(|w| (w, WorkerPool::new(w)))
-        .collect();
+    println!("=== Uniform-FFT scaling: line-at-a-time vs cache-blocked ===\n");
 
     let mut records = Vec::new();
     let mut summaries = Vec::new();
@@ -221,20 +194,17 @@ fn main() {
         (320, "bluestein_even"),
         (255, "bluestein_odd"),
     ] {
-        summaries.push(bench_size(size, kernel, &pools, samples, &mut records));
+        summaries.push(bench_size(size, kernel, samples, &mut records));
     }
 
     for m in &summaries {
         println!(
-            "{s}x{s} ({k}): naive {n} | blocked {b} ({bx:.2}x) | pooled-8 {p} ({px:.2}x vs naive, {pb:.2}x vs blocked)",
+            "{s}x{s} ({k}): naive {n} | blocked {b} ({bx:.2}x)",
             s = m.size,
             k = m.kernel,
             n = fmt_time(m.naive_median),
             b = fmt_time(m.blocked_median),
             bx = m.naive_median / m.blocked_median,
-            p = fmt_time(m.pooled8_median),
-            px = m.naive_median / m.pooled8_median,
-            pb = m.blocked_median / m.pooled8_median,
         );
     }
 

@@ -70,6 +70,20 @@ impl Options {
     pub fn switch(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Refuse the first flag `cmd` does not read, so a mistyped or
+    /// unsupported flag fails instead of silently taking its default.
+    pub fn reject_unknown(&self, cmd: &str, accepted: &[&str]) -> Result<(), String> {
+        match self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .find(|k| !accepted.contains(&k.as_str()))
+        {
+            Some(k) => Err(format!("`{cmd}` does not accept --{k}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +108,16 @@ mod tests {
     fn trailing_switch() {
         let o = Options::parse(&argv(&["--cycle-accurate"])).unwrap();
         assert!(o.switch("cycle-accurate"));
+    }
+
+    #[test]
+    fn rejects_flags_outside_the_accepted_set() {
+        let o = Options::parse(&argv(&["--n", "32", "--metrics"])).unwrap();
+        assert!(o.reject_unknown("recon", &["n", "metrics"]).is_ok());
+        let e = o.reject_unknown("recon", &["n"]).unwrap_err();
+        assert!(e.contains("--metrics"), "{e}");
+        let e = o.reject_unknown("recon", &["metrics"]).unwrap_err();
+        assert!(e.contains("--n"), "{e}");
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::args::Options;
 use crate::error::CliError;
 use jigsaw_core::budget::RunBudget;
 use jigsaw_core::config::GridParams;
-use jigsaw_core::engine::ExecBackend;
 use jigsaw_core::gridding::{
     BinnedGridder, Gridder, SerialGridder, SliceDiceGridder, SliceDiceMode,
 };
@@ -33,7 +32,6 @@ USAGE:
 COMMANDS:
     recon       Reconstruct a Shepp-Logan phantom from synthetic radial k-space
                   --n 192 --spokes <auto> --engine slice-dice|serial|binned
-                  --backend pooled|scoped (parallel execution engine)
                   --coils 1 (>1 = planned multi-coil batch via the worker pool)
                   --cg 0 (CG iterations; 0 = direct adjoint) --out out/recon.pgm
                   --normal-op gridded|toeplitz (CG normal operator; toeplitz
@@ -45,8 +43,7 @@ COMMANDS:
                   --grid 512 --samples 100000 [--cycle-accurate] [--trace N]
     simulate3d  Run the JIGSAW 3D Slice variant
                   --grid 32 --samples 20000 [--sorted]
-    gridbench   Time every gridding engine on one problem, on both the
-                pooled and the legacy scoped execution backends
+    gridbench   Time every gridding engine on one problem
                   --n 256 --m 100000
     profile     Run a canned radial multi-coil CG-SENSE recon with
                 telemetry forced on and emit a chrome://tracing /
@@ -109,8 +106,8 @@ ROBUSTNESS:
                               registered fault point (testing only)
 
 EXIT CODES:
-    0 success · 1 usage · 2 configuration error · 3 data error
-    4 execution error (contained job panic) · 5 budget exhausted
+    0 success · 1 usage · 2 configuration error (bad value or unknown flag)
+    3 data error · 4 execution error (contained job panic) · 5 budget exhausted
     7 daemon overloaded (job shed; retry after the suggested backoff)
 ";
 
@@ -157,14 +154,6 @@ fn write_pgm(path: &str, image: &[C64], n: usize) -> Result<(), CliError> {
         .map_err(|e| CliError::Data(format!("writing {path}: {e}")))
 }
 
-fn backend_by_name(name: &str) -> Result<ExecBackend, String> {
-    match name {
-        "pooled" => Ok(ExecBackend::Pooled),
-        "scoped" => Ok(ExecBackend::Scoped),
-        other => Err(format!("unknown backend `{other}` (pooled | scoped)")),
-    }
-}
-
 fn normal_op_by_name(name: &str) -> Result<NormalOpKind, String> {
     match name {
         "gridded" => Ok(NormalOpKind::Gridded),
@@ -173,14 +162,11 @@ fn normal_op_by_name(name: &str) -> Result<NormalOpKind, String> {
     }
 }
 
-fn engine_by_name(name: &str, backend: ExecBackend) -> Result<Box<dyn Gridder<f64, 2>>, String> {
+fn engine_by_name(name: &str) -> Result<Box<dyn Gridder<f64, 2>>, String> {
     match name {
         "serial" => Ok(Box::new(SerialGridder)),
-        "binned" => Ok(Box::new(BinnedGridder {
-            backend,
-            ..Default::default()
-        })),
-        "slice-dice" => Ok(Box::new(SliceDiceGridder::default().with_backend(backend))),
+        "binned" => Ok(Box::new(BinnedGridder::default())),
+        "slice-dice" => Ok(Box::new(SliceDiceGridder::default())),
         "slice-dice-serial" => Ok(Box::new(SliceDiceGridder::new(SliceDiceMode::Serial))),
         other => Err(format!(
             "unknown engine `{other}` (serial | binned | slice-dice | slice-dice-serial)"
@@ -203,8 +189,7 @@ pub fn recon(o: &Options) -> CmdResult {
     } else {
         RunBudget::unlimited()
     };
-    let backend = backend_by_name(&o.string("backend", "pooled"))?;
-    let engine = engine_by_name(&o.string("engine", "slice-dice"), backend)?;
+    let engine = engine_by_name(&o.string("engine", "slice-dice"))?;
     let normal_op = normal_op_by_name(&o.string("normal-op", "gridded"))?;
 
     let phantom = Phantom2d::shepp_logan();
@@ -474,30 +459,15 @@ pub fn gridbench(o: &Options) -> CmdResult {
         })
         .collect();
     println!("{m} samples onto a {g}² grid (W = 6, L = 32):\n");
-    let mut engines: Vec<(String, Box<dyn Gridder<f64, 2>>)> = vec![
-        ("serial".into(), Box::new(SerialGridder)),
+    let engines: [(&str, Box<dyn Gridder<f64, 2>>); 4] = [
+        ("serial", Box::new(SerialGridder)),
         (
-            "slice-dice serial".into(),
+            "slice-dice serial",
             Box::new(SliceDiceGridder::new(SliceDiceMode::Serial)),
         ),
+        ("binned", Box::new(BinnedGridder::default())),
+        ("slice-dice parallel", Box::new(SliceDiceGridder::default())),
     ];
-    for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-        let tag = match backend {
-            ExecBackend::Pooled => "pooled",
-            ExecBackend::Scoped => "scoped",
-        };
-        engines.push((
-            format!("binned [{tag}]"),
-            Box::new(BinnedGridder {
-                backend,
-                ..Default::default()
-            }),
-        ));
-        engines.push((
-            format!("slice-dice parallel [{tag}]"),
-            Box::new(SliceDiceGridder::default().with_backend(backend)),
-        ));
-    }
     for (name, e) in &engines {
         let mut out = vec![C64::zeroed(); g * g];
         let stats = e.grid(&params, &lut, &coords, &values, &mut out);
@@ -994,12 +964,9 @@ mod tests {
     #[test]
     fn engine_lookup() {
         for name in ["serial", "binned", "slice-dice", "slice-dice-serial"] {
-            assert!(engine_by_name(name, ExecBackend::Pooled).is_ok(), "{name}");
+            assert!(engine_by_name(name).is_ok(), "{name}");
         }
-        assert!(engine_by_name("warp-drive", ExecBackend::Pooled).is_err());
-        assert!(backend_by_name("pooled").is_ok());
-        assert!(backend_by_name("scoped").is_ok());
-        assert!(backend_by_name("gpu").is_err());
+        assert!(engine_by_name("warp-drive").is_err());
     }
 
     #[test]

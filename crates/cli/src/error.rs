@@ -89,7 +89,7 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Bare-`String` errors come from flag parsing and engine/backend name
+/// Bare-`String` errors come from flag parsing and engine/normal-op name
 /// lookup — all configuration problems.
 impl From<String> for CliError {
     fn from(m: String) -> Self {

@@ -37,28 +37,105 @@ fn main() -> ExitCode {
             return ExitCode::from(e.exit_code());
         }
     };
-    let result = match cmd.as_str() {
-        "recon" => commands::recon(&opts),
-        "simulate" => commands::simulate(&opts),
-        "simulate3d" => commands::simulate3d(&opts),
-        "gridbench" => commands::gridbench(&opts),
-        "profile" => commands::profile(&opts),
-        "serve" => commands::serve(&opts),
-        "request" => commands::request(&opts),
-        "top" => commands::top(&opts),
-        "gpustats" => commands::gpustats(&opts),
-        "emit-rtl" => commands::emit_rtl(&opts),
-        "info" => commands::info(),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
+    // Every subcommand with the flags it reads; any other flag is a
+    // configuration error raised before the command starts.
+    type Command = fn(&args::Options) -> Result<(), CliError>;
+    let (run, accepted): (Command, &[&str]) = match cmd.as_str() {
+        "recon" => (
+            commands::recon,
+            &[
+                "n",
+                "spokes",
+                "engine",
+                "coils",
+                "cg",
+                "lambda",
+                "out",
+                "normal-op",
+                "time-budget-ms",
+                "trace-out",
+                "metrics",
+            ],
+        ),
+        "simulate" => (
+            commands::simulate,
+            &["grid", "samples", "cycle-accurate", "trace"],
+        ),
+        "simulate3d" => (commands::simulate3d, &["grid", "samples", "sorted"]),
+        "gridbench" => (commands::gridbench, &["n", "m", "trace-out", "metrics"]),
+        "profile" => (
+            commands::profile,
+            &[
+                "n",
+                "coils",
+                "cg",
+                "spokes",
+                "samples",
+                "trace-out",
+                "metrics",
+            ],
+        ),
+        "serve" => (
+            commands::serve,
+            &[
+                "socket",
+                "stdio",
+                "cache-capacity",
+                "jobs",
+                "default-budget-ms",
+                "max-queue-depth",
+                "max-queued-bytes",
+                "watchdog-multiple",
+                "snapshot",
+                "snapshot-every-secs",
+                "trace-out",
+            ],
+        ),
+        "request" => (
+            commands::request,
+            &[
+                "socket",
+                "timeout-ms",
+                "ping",
+                "shutdown",
+                "drain",
+                "stats",
+                "format",
+                "n",
+                "spokes",
+                "count",
+                "high",
+                "budget-ms",
+                "tag",
+                "retries",
+                "backoff-ms",
+            ],
+        ),
+        "top" => (commands::top, &["socket", "interval-ms", "iterations"]),
+        "gpustats" => (commands::gpustats, &["grid", "samples"]),
+        "emit-rtl" => (
+            commands::emit_rtl,
+            &["grid", "width", "table-oversampling", "out"],
+        ),
+        "info" => (|_| commands::info(), &[]),
+        "help" | "--help" | "-h" => (
+            |_| {
+                println!("{}", commands::USAGE);
+                Ok(())
+            },
+            &[],
+        ),
         other => {
             eprintln!("unknown command `{other}`\n\n{}", commands::USAGE);
             return ExitCode::FAILURE;
         }
     };
-    match result {
+    if let Err(e) = opts.reject_unknown(cmd, accepted) {
+        let e = CliError::Config(e);
+        eprintln!("error: {e}\n\n{}", commands::USAGE);
+        return ExitCode::from(e.exit_code());
+    }
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             // One line, one category-specific exit code (see error.rs).

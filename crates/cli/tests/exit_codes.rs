@@ -51,6 +51,40 @@ fn config_error_is_two() {
 }
 
 #[test]
+fn unknown_flag_is_two_and_starts_no_work() {
+    // A flag the subcommand does not read is refused up front, naming the
+    // flag, instead of silently running with its default.
+    for args in [
+        &["recon", "--backend", "scoped"][..],
+        &["gridbench", "--backend", "scoped"][..],
+    ] {
+        let out = jigsaw(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        let line = err.lines().next().unwrap_or("");
+        assert!(
+            line.starts_with("error: configuration error:") && line.contains("--backend"),
+            "{args:?}: first stderr line: {line}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} started work");
+    }
+
+    // The flags recon reads still run.
+    let path = std::env::temp_dir().join(format!("jigsaw-flags-{}.pgm", std::process::id()));
+    let out = jigsaw(&[
+        "recon",
+        "--n",
+        "32",
+        "--spokes",
+        "8",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn data_error_is_three() {
     // An unwritable output path is a data problem.
     let out = jigsaw(&[

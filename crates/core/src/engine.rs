@@ -25,9 +25,12 @@
 //!   reusable buffers. A worker's accumulator column slab is allocated on
 //!   first use and then cycles: worker fills it, the caller merges it into
 //!   the output grid and *returns it to the same worker's arena*.
-//! * [`ExecBackend`] — selects pooled vs legacy scoped-spawn execution in
-//!   every parallel gridder, so the two strategies stay directly
-//!   comparable (see the `pooled_vs_scoped` bench).
+//!
+//! [`WorkerPool::try_run`] is the only way the workspace runs parallel
+//! work: the gridders, the batched NuFFT coils (and so every served
+//! request), the SENSE adjoint and the Toeplitz coil convolutions all
+//! dispatch through it, and the uniform FFT runs serially inside their
+//! jobs.
 //!
 //! Everything here is safe Rust: jobs are `'static` closures capturing
 //! `Arc`-shared immutable inputs, results travel back over channels, and
@@ -45,18 +48,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Execution strategy for the parallel gridding engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// Dispatch into the persistent [`WorkerPool`] (default): workers and
-    /// their scratch arenas live across calls.
-    #[default]
-    Pooled,
-    /// Legacy behavior: spawn scoped threads and allocate scratch on every
-    /// call. Kept for A/B benchmarking and as a fallback.
-    Scoped,
-}
 
 // ---------------------------------------------------------------------------
 // Serial-fallback policy (graceful degradation kill switch)
@@ -139,12 +130,23 @@ impl From<JobFailure> for crate::Error {
     }
 }
 
+/// Render a caught panic payload as a string: `&str` and `String`
+/// payloads verbatim, [`jigsaw_testkit::fault::FaultInjected`] by site
+/// name, anything else opaquely.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(f) = payload.downcast_ref::<jigsaw_testkit::fault::FaultInjected>() {
+        f.to_string()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// A boxed job: runs on one worker with access to that worker's arena.
 type Job = Box<dyn FnOnce(&mut ScratchArena) + Send>;
-
-/// One type-erased buffer plus its payload byte count, as stored in a
-/// [`ScratchArena`] slot stack.
-type ErasedBuf = (Box<dyn Any + Send>, usize);
 
 /// Per-worker-slot arena of reusable, type-erased buffers.
 ///
@@ -154,11 +156,8 @@ type ErasedBuf = (Box<dyn Any + Send>, usize);
 /// *caller* can return merged-out slabs to the worker that produced them.
 #[derive(Default)]
 pub struct ScratchArena {
-    /// Buffer stacks keyed by `(key, element type)`; each entry carries its
-    /// payload byte count so type-erased take/give (the
-    /// [`jigsaw_fft::exec::BufferArena`] impl) can keep `bytes` exact
-    /// without downcasting.
-    slots: HashMap<(u64, std::any::TypeId), Vec<ErasedBuf>>,
+    /// Buffer stacks keyed by `(key, element type)`.
+    slots: HashMap<(u64, std::any::TypeId), Vec<Box<dyn Any + Send>>>,
     bytes: usize,
 }
 
@@ -169,8 +168,9 @@ impl ScratchArena {
     pub fn take_vec<T: Clone + Send + 'static>(&mut self, key: u64, len: usize, fill: T) -> Vec<T> {
         let slot = (key, std::any::TypeId::of::<Vec<T>>());
         if let Some(stack) = self.slots.get_mut(&slot) {
-            if let Some((boxed, bytes)) = stack.pop() {
+            if let Some(boxed) = stack.pop() {
                 if let Ok(mut v) = boxed.downcast::<Vec<T>>() {
+                    let bytes = v.capacity() * std::mem::size_of::<T>();
                     self.bytes = self.bytes.saturating_sub(bytes);
                     v.clear();
                     v.resize(len, fill);
@@ -184,12 +184,8 @@ impl ScratchArena {
     /// Return a buffer for future reuse under `key`.
     pub fn give_vec<T: Send + 'static>(&mut self, key: u64, v: Vec<T>) {
         let slot = (key, std::any::TypeId::of::<Vec<T>>());
-        let bytes = v.capacity() * std::mem::size_of::<T>();
-        self.bytes += bytes;
-        self.slots
-            .entry(slot)
-            .or_default()
-            .push((Box::new(v), bytes));
+        self.bytes += v.capacity() * std::mem::size_of::<T>();
+        self.slots.entry(slot).or_default().push(Box::new(v));
     }
 
     /// Approximate resident bytes currently parked in this arena.
@@ -202,46 +198,6 @@ impl ScratchArena {
         self.slots.clear();
         self.bytes = 0;
     }
-}
-
-/// Type-erased recycling interface used by `jigsaw-fft`'s panel jobs.
-///
-/// `jigsaw-fft` sits *below* this crate in the dependency DAG, so it
-/// defines the [`jigsaw_fft::exec::BufferArena`] trait and this crate's
-/// arena implements it. FFT panel scratch thereby cycles through the same
-/// per-worker arenas as gridding scratch, keyed under
-/// [`keys::FFT_PANEL`].
-impl jigsaw_fft::exec::BufferArena for ScratchArena {
-    fn take_any(&mut self, key: u64, ty: std::any::TypeId) -> Option<Box<dyn Any + Send>> {
-        let (buf, bytes) = self.slots.get_mut(&(key, ty))?.pop()?;
-        self.bytes = self.bytes.saturating_sub(bytes);
-        Some(buf)
-    }
-
-    fn give_any(&mut self, key: u64, ty: std::any::TypeId, buf: Box<dyn Any + Send>, bytes: usize) {
-        self.bytes += bytes;
-        self.slots.entry((key, ty)).or_default().push((buf, bytes));
-    }
-}
-
-thread_local! {
-    /// True on pool worker threads; set once at worker startup. Used to
-    /// detect *nested* dispatch — an [`jigsaw_fft::exec::Executor`] call
-    /// made from inside a worker job (e.g. a pooled job that splits an FFT
-    /// over the pool). Dispatching back into the pool from a
-    /// worker can deadlock (the nested job may map onto the very worker
-    /// that is blocked waiting on it), so nested work runs inline instead.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    /// Arena backing inline (nested) job execution on a worker thread.
-    /// Thread-local so recycled panel buffers stay warm across the many
-    /// FFT calls a single worker makes during one batch.
-    static NESTED_ARENA: std::cell::RefCell<ScratchArena> =
-        std::cell::RefCell::new(ScratchArena::default());
-}
-
-/// True when the current thread is a [`WorkerPool`] worker.
-pub fn on_worker_thread() -> bool {
-    IN_WORKER.with(|f| f.get())
 }
 
 /// Completion latch for one dispatch.
@@ -341,9 +297,6 @@ impl WorkerPool {
                         // Register this worker's trace lane up front so the
                         // chrome-trace export shows named per-worker lanes.
                         telemetry::set_thread_lane(&format!("jigsaw-worker-{wid}"));
-                        // Mark the thread so nested Executor dispatches from
-                        // inside jobs run inline instead of deadlocking.
-                        IN_WORKER.with(|f| f.set(true));
                         while let Ok(job) = rx.recv() {
                             let mut arena = arenas[wid].lock().unwrap_or_else(|e| e.into_inner());
                             job(&mut arena);
@@ -433,6 +386,9 @@ impl WorkerPool {
     /// half-written) arena buffers are discarded rather than recycled,
     /// and after every job of the dispatch has finished the first failure
     /// is returned as a [`JobFailure`]. The pool stays fully usable.
+    ///
+    /// A job must not dispatch into its own pool: it may be queued behind
+    /// the very job that waits for it.
     pub fn try_run<F>(&self, njobs: usize, f: F) -> Result<(), JobFailure>
     where
         F: Fn(usize, &mut ScratchArena) + Send + Sync + 'static,
@@ -499,7 +455,7 @@ impl WorkerPool {
                     JobFailure {
                         job: j,
                         worker: wid,
-                        message: jigsaw_fft::exec::panic_message(&*payload),
+                        message: panic_message(&*payload),
                     }
                 });
                 job_latch.count_down(failure);
@@ -555,107 +511,6 @@ impl WorkerPool {
     }
 }
 
-/// The persistent pool as an FFT panel-job executor.
-///
-/// This is the bridge that lets a *single* uniform FFT parallelize across
-/// the same workers that grid samples: `FftNd::process_with(pool, ..)`
-/// partitions each axis pass into panel jobs and runs them here. Only the
-/// FFT tests and the `fft_scaling` bench split an FFT this way: the NuFFT
-/// plans and the Toeplitz build run serial FFTs, one coil per job, and
-/// the Toeplitz operator dispatches those coil jobs through
-/// [`Executor::execute`](jigsaw_fft::exec::Executor::execute).
-/// Three properties matter:
-///
-/// * **Determinism** — the panel partition is computed by the FFT from the
-///   grid shape alone; this executor only decides *where* each job runs,
-///   never what it computes, so output is bitwise identical to serial.
-/// * **Scratch affinity** — job `j` always runs on worker `j % size`, and
-///   [`Executor::restore`](jigsaw_fft::exec::Executor::restore) returns
-///   merged-out panel buffers to that worker's arena, so panel scratch is
-///   allocated once and stays warm across every FFT of a reconstruction.
-/// * **Nested-dispatch safety** — when `execute` is called *from a worker
-///   thread* (a pooled job calling `FftNd::process_with(pool, ..)`), jobs run
-///   inline on a thread-local arena. [`Executor::concurrency`] also
-///   reports `1` there, so `FftNd` skips parallel orchestration entirely
-///   and takes its serial blocked path — same numbers, no boxing.
-impl jigsaw_fft::exec::Executor for WorkerPool {
-    fn execute(&self, jobs: Vec<jigsaw_fft::exec::Job>) -> Result<(), jigsaw_fft::exec::ExecError> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        if on_worker_thread() {
-            return NESTED_ARENA.with(|a| {
-                let mut arena = a.borrow_mut();
-                for (j, job) in jobs.into_iter().enumerate() {
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut *arena)));
-                    if let Err(payload) = result {
-                        // Same containment as the pooled path: the nested
-                        // arena may hold half-written buffers — discard.
-                        arena.clear();
-                        return Err(jigsaw_fft::exec::ExecError {
-                            job: j,
-                            worker: None,
-                            message: jigsaw_fft::exec::panic_message(&*payload),
-                        });
-                    }
-                }
-                Ok(())
-            });
-        }
-        let njobs = jobs.len();
-        // `WorkerPool::run` takes a shared `Fn`; park each owned FnOnce job
-        // in a mutex slot and let dispatch `j` claim slot `j`.
-        let slots: Arc<Vec<Mutex<Option<jigsaw_fft::exec::Job>>>> =
-            Arc::new(jobs.into_iter().map(|j| Mutex::new(Some(j))).collect());
-        self.try_run(njobs, move |j, arena| {
-            let job = slots[j].lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some(job) = job {
-                job(arena);
-            }
-        })
-        .map_err(|f| jigsaw_fft::exec::ExecError {
-            job: f.job,
-            worker: Some(f.worker),
-            message: f.message,
-        })
-    }
-
-    fn concurrency(&self) -> usize {
-        if on_worker_thread() {
-            1
-        } else {
-            // Cap at physical parallelism: a pool oversized for the machine
-            // (say 8 workers on a 1-CPU container) can still *run* jobs,
-            // but reporting the full pool size would push `FftNd` into
-            // parallel orchestration whose snapshot/boxing overhead cannot
-            // be amortized by threads that never run simultaneously.
-            // Reporting the effective concurrency lets callers take the
-            // serial blocked path when that is the faster plan — results
-            // are bitwise identical either way.
-            let hw = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            self.size().min(hw)
-        }
-    }
-
-    fn restore(
-        &self,
-        job: usize,
-        key: u64,
-        ty: std::any::TypeId,
-        buf: Box<dyn Any + Send>,
-        bytes: usize,
-    ) {
-        use jigsaw_fft::exec::BufferArena;
-        self.arenas[self.worker_for(job)]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .give_any(key, ty, buf, bytes);
-    }
-}
-
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Close channels, then join.
@@ -674,8 +529,8 @@ impl Drop for WorkerPool {
 }
 
 /// Scratch-buffer keys of the per-worker arenas: the gridding engines'
-/// buffers, the coil jobs' grids and the FFT panel jobs' scratch
-/// (documented here so key collisions stay impossible by inspection).
+/// buffers and the coil jobs' grids (documented here so key collisions
+/// stay impossible by inspection).
 pub mod keys {
     /// Slice-and-Dice per-worker accumulator columns.
     pub const DICE_COLUMNS: u64 = 0x01;
@@ -688,13 +543,6 @@ pub mod keys {
     /// Per-coil grid: the batched NuFFT's oversampled grid and the
     /// Toeplitz operator's `(2N)^d` pad grid.
     pub const COIL_GRID: u64 = 0x05;
-    /// N-D FFT panel scratch (defined by `jigsaw-fft`, which owns the
-    /// executor trait; re-exported here so the key space stays auditable
-    /// in one place).
-    pub const FFT_PANEL: u64 = jigsaw_fft::exec::PANEL_KEY;
-    /// Bluestein convolution scratch inside N-D FFT panel jobs (defined by
-    /// `jigsaw-fft`; re-exported like [`FFT_PANEL`]).
-    pub const FFT_WORK: u64 = jigsaw_fft::exec::WORK_KEY;
 }
 
 #[cfg(test)]
@@ -896,19 +744,14 @@ mod tests {
     }
 
     #[test]
-    fn fft_panel_key_matches_fft_crate() {
-        assert_eq!(keys::FFT_PANEL, 0x06);
-        // All keys distinct by inspection; assert anyway.
+    fn scratch_keys_are_distinct() {
         let all = [
             keys::DICE_COLUMNS,
             keys::BIN_TILES,
             keys::PARTIAL_GRID,
             keys::NAIVE_CHUNK,
             keys::COIL_GRID,
-            keys::FFT_PANEL,
-            keys::FFT_WORK,
         ];
-        assert_eq!(keys::FFT_WORK, 0x08);
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a, b);
@@ -917,104 +760,15 @@ mod tests {
     }
 
     #[test]
-    fn pool_executes_fft_jobs_with_recycling() {
-        use jigsaw_fft::exec::{give_vec, restore_vec, take_vec, Executor, Job as FftJob};
-        let pool = WorkerPool::new(2);
-        // Reported concurrency is the pool size capped at the machine's
-        // physical parallelism (this may be 1 in a constrained container).
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(Executor::concurrency(&pool), 2.min(hw));
-        let (tx, rx) = channel();
-        let jobs: Vec<FftJob> = (0..4)
-            .map(|j| {
-                let tx = tx.clone();
-                let job: FftJob = Box::new(move |arena| {
-                    let mut v = take_vec::<u64>(arena, keys::FFT_PANEL, 8, 0);
-                    v[0] = j as u64;
-                    tx.send((j, v)).unwrap();
-                });
-                job
-            })
-            .collect();
-        drop(tx);
-        pool.execute(jobs).unwrap();
-        let mut got: Vec<(usize, Vec<u64>)> = rx.iter().collect();
-        got.sort_by_key(|(j, _)| *j);
-        assert_eq!(got.len(), 4);
-        // Jobs 1 and 3 both ran on worker 1; their buffers stack in its
-        // arena (job 3's restored last, so popped first).
-        let worker1_ptrs: Vec<usize> = [1usize, 3]
-            .iter()
-            .map(|&j| got[j].1.as_ptr() as usize)
-            .collect();
-        for (j, v) in got {
-            assert_eq!(v[0], j as u64);
-            restore_vec(&pool, j, keys::FFT_PANEL, v);
-        }
-        // A fresh dispatch's job 1 (worker 1) reuses a worker-1 panel.
-        let (tx2, rx2) = channel();
-        let job: FftJob = Box::new(move |arena| {
-            let v = take_vec::<u64>(arena, keys::FFT_PANEL, 8, 0);
-            tx2.send(v.as_ptr() as usize).unwrap();
-            give_vec(arena, keys::FFT_PANEL, v);
-        });
-        let noop: FftJob = Box::new(|_| {});
-        pool.execute(vec![noop, job]).unwrap();
-        let reused = rx2.recv().unwrap();
-        assert!(
-            worker1_ptrs.contains(&reused),
-            "panel buffer must be recycled from worker 1's arena"
-        );
-    }
-
-    #[test]
-    fn nested_execute_from_worker_runs_inline() {
-        use jigsaw_fft::exec::{Executor, Job as FftJob};
-        // A 1-worker pool: if the nested dispatch re-entered the queue it
-        // would deadlock (the only worker is busy waiting on it).
-        let pool = Arc::new(WorkerPool::new(1));
-        let p = Arc::clone(&pool);
-        let (tx, rx) = channel();
-        pool.run(1, move |_, _| {
-            assert!(on_worker_thread());
-            // Inner dispatch must report serial concurrency and run inline.
-            assert_eq!(Executor::concurrency(&*p), 1);
-            let tx2 = tx.clone();
-            let inner: FftJob = Box::new(move |_| tx2.send(42u32).unwrap());
-            p.execute(vec![inner]).unwrap();
-            tx.send(7).unwrap();
-        });
-        let got: Vec<u32> = rx.try_iter().collect();
-        assert_eq!(got, vec![42, 7], "nested job must complete before outer");
-        assert!(!on_worker_thread());
-    }
-
-    #[test]
-    fn scratch_arena_type_erased_take_give_roundtrip() {
-        use jigsaw_fft::exec::BufferArena;
-        let mut arena = ScratchArena::default();
-        let v = vec![1.5f32; 64];
-        let ptr = v.as_ptr() as usize;
-        let bytes = v.capacity() * std::mem::size_of::<f32>();
-        arena.give_any(11, std::any::TypeId::of::<Vec<f32>>(), Box::new(v), bytes);
-        assert_eq!(arena.resident_bytes(), bytes);
-        let back = arena
-            .take_any(11, std::any::TypeId::of::<Vec<f32>>())
-            .expect("buffer present");
-        let back = back.downcast::<Vec<f32>>().unwrap();
-        assert_eq!(back.as_ptr() as usize, ptr);
-        assert_eq!(arena.resident_bytes(), 0);
-        assert!(arena
-            .take_any(11, std::any::TypeId::of::<Vec<f32>>())
-            .is_none());
-        // Typed and erased paths share the same slots/byte ledger.
-        arena.give_vec(12, vec![0u8; 16]);
-        assert!(arena
-            .take_any(12, std::any::TypeId::of::<Vec<u8>>())
-            .is_some());
-        assert_eq!(arena.resident_bytes(), 0);
+    fn panic_message_renders_known_payloads() {
+        let p: Box<dyn Any + Send> = Box::new("static str");
+        assert_eq!(panic_message(&*p), "static str");
+        let p: Box<dyn Any + Send> = Box::new(String::from("owned"));
+        assert_eq!(panic_message(&*p), "owned");
+        let p: Box<dyn Any + Send> = Box::new(jigsaw_testkit::fault::FaultInjected { site: "a.b" });
+        assert_eq!(panic_message(&*p), "injected fault at a.b");
+        let p: Box<dyn Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(&*p), "non-string panic payload");
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The machinery — the deterministic seeded schedule, the
 //! telemetry-style kill switch, the `faultpoint!` macro — lives in
-//! `jigsaw_testkit::fault` (the only crate below both `jigsaw-fft` and
-//! `jigsaw-core` in the dependency DAG); this module re-exports it and
-//! owns the *registry*: the canonical list of fault points compiled into
-//! the engine, which the chaos suite iterates so no site can be added
-//! without failure-path coverage.
+//! `jigsaw_testkit::fault`, below `jigsaw-core` in the dependency DAG;
+//! this module re-exports it and owns the *registry*: the canonical list
+//! of fault points compiled into the engine, which the chaos suite
+//! iterates so no site can be added without failure-path coverage.
 //!
 //! Arm via [`arm`] in tests (serialize with [`test_guard`] — the switch
 //! is process-global) or the `JIGSAW_FAULTS` environment variable for CLI
@@ -17,7 +16,8 @@
 //! ```
 //!
 //! Every site is a single relaxed atomic load + branch when disarmed
-//! (≤ 2 % on the `pooled_vs_scoped` bench; see `BENCH_fault_overhead.json`).
+//! (≤ 2 % on the `pooled_engines` gridding problem; see
+//! `BENCH_fault_overhead.json`).
 
 pub use jigsaw_testkit::fault::{
     arm, disarm, fires, should_fire, test_guard, FaultInjected, FaultPlan,
@@ -27,9 +27,6 @@ pub use jigsaw_testkit::fault::{
 /// before the job body runs. Fires on a worker thread; contained by the
 /// pool's panic containment.
 pub const ENGINE_DISPATCH: &str = "engine.dispatch";
-
-/// Inside every parallel N-D FFT panel job (`jigsaw_fft::nd`).
-pub const FFT_PANEL: &str = jigsaw_fft::nd::FAULT_PANEL;
 
 /// Inside every pooled gridding chunk job (column chunks, bin tiles,
 /// naive output chunks, block partials).
@@ -94,7 +91,6 @@ pub const RECON_CG_ITER: &str = "recon.cg_iter";
 /// named above.
 pub const SITES: &[&str] = &[
     ENGINE_DISPATCH,
-    FFT_PANEL,
     GRIDDING_CHUNK,
     NUFFT_COIL,
     RECON_CG_ITER,
@@ -118,7 +114,6 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        assert_eq!(FFT_PANEL, "fft.panel");
     }
 
     #[test]

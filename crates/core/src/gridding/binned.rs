@@ -26,7 +26,7 @@
 use super::{sample_windows, validate_batch, worker_threads, Gridder};
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
-use crate::engine::{keys, ExecBackend, WorkerPool};
+use crate::engine::{keys, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
 use jigsaw_num::{Complex, Float};
@@ -45,9 +45,6 @@ pub struct BinnedGridder {
     pub bin_tile: usize,
     /// Worker thread count (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// Execution backend: persistent worker pool (default) or legacy
-    /// per-call scoped threads.
-    pub backend: ExecBackend,
 }
 
 impl Default for BinnedGridder {
@@ -55,7 +52,6 @@ impl Default for BinnedGridder {
         Self {
             bin_tile: 16,
             threads: None,
-            backend: ExecBackend::default(),
         }
     }
 }
@@ -176,136 +172,81 @@ impl<T: Float, const D: usize> Gridder<T, D> for BinnedGridder {
         let width = p.width;
         let mut total_accums = 0u64;
         let mut total_checks = 0u64;
-        match self.backend {
-            ExecBackend::Scoped => {
-                // Legacy path: tile-blocked scratch (tile `lin` owns the
-                // contiguous range [lin·B^d, (lin+1)·B^d)) allocated per
-                // call, scoped spawn/join.
-                let mut blocked = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
-                let mut accum_counts = vec![0u64; njobs];
-                let mut check_counts = vec![0u64; njobs];
-                {
-                    let bins = &bins;
-                    let dec = &dec;
-                    std::thread::scope(|s| {
-                        for (tid, (chunk, (acc_slot, chk_slot))) in blocked
-                            .chunks_mut(tiles_per_thread * tile_points)
-                            .zip(accum_counts.iter_mut().zip(check_counts.iter_mut()))
-                            .enumerate()
-                        {
-                            let first_tile = tid * tiles_per_thread;
-                            s.spawn(move || {
-                                let (a, c) = binned_tile_worker::<T, D>(
-                                    dec,
-                                    lut,
-                                    coords,
-                                    values,
-                                    bins,
-                                    b,
-                                    tiles_per_dim,
-                                    tile_points,
-                                    width,
-                                    first_tile,
-                                    chunk,
-                                );
-                                *acc_slot = a;
-                                *chk_slot = c;
-                            });
-                        }
-                    });
-                }
-                for (tid, chunk) in blocked.chunks(tiles_per_thread * tile_points).enumerate() {
-                    unblock_tile_chunk::<T, D>(
-                        g,
-                        b,
-                        tiles_per_dim,
-                        tile_points,
-                        tid * tiles_per_thread,
-                        chunk,
-                        out,
-                    );
-                }
-                total_accums = accum_counts.iter().sum();
-                total_checks = check_counts.iter().sum();
-            }
-            ExecBackend::Pooled => {
-                // Persistent path: each job's tile block comes from (and
-                // returns to) the owning pool worker's scratch arena.
-                let pool = WorkerPool::global();
-                let coords_shared: Arc<[[f64; D]]> = coords.into();
-                let values_shared: Arc<[Complex<T>]> = values.into();
-                let bins_shared = Arc::new(bins);
-                let lut_shared = lut.clone();
-                let bins_fallback = Arc::clone(&bins_shared);
-                let (tx, rx) = channel();
-                let run = pool.try_run(njobs, move |tid, arena| {
-                    faultpoint!(crate::fault::GRIDDING_CHUNK);
-                    let first_tile = tid * tiles_per_thread;
-                    let my_tiles = tiles_per_thread.min(ntiles - first_tile);
-                    let mut chunk = arena.take_vec(
-                        keys::BIN_TILES,
-                        my_tiles * tile_points,
-                        Complex::<T>::zeroed(),
-                    );
-                    let (a, c) = binned_tile_worker::<T, D>(
-                        &dec,
-                        &lut_shared,
-                        &coords_shared,
-                        &values_shared,
-                        &bins_shared,
-                        b,
-                        tiles_per_dim,
-                        tile_points,
-                        width,
-                        first_tile,
-                        &mut chunk,
-                    );
-                    let _ = tx.send((tid, chunk, a, c));
-                });
-                if run.is_err() {
-                    // Contained job panic. Tile chunks unblock into `out`
-                    // only in the drain below (never reached), so redo
-                    // every tile in one serial pass — bitwise identical,
-                    // the partition only decides ownership.
-                    crate::engine::note_serial_fallback("gridding.binned");
-                    drop(rx);
-                    let dec = Decomposer::new(p);
-                    let mut blocked = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
-                    let (a, c) = binned_tile_worker::<T, D>(
-                        &dec,
-                        lut,
-                        coords,
-                        values,
-                        &bins_fallback,
-                        b,
-                        tiles_per_dim,
-                        tile_points,
-                        width,
-                        0,
-                        &mut blocked,
-                    );
-                    unblock_tile_chunk::<T, D>(g, b, tiles_per_dim, tile_points, 0, &blocked, out);
-                    total_accums = a;
-                    total_checks = c;
-                } else {
-                    for _ in 0..njobs {
-                        let Ok((tid, chunk, a, c)) = rx.recv() else {
-                            unreachable!("pooled binned job result missing after clean run");
-                        };
-                        unblock_tile_chunk::<T, D>(
-                            g,
-                            b,
-                            tiles_per_dim,
-                            tile_points,
-                            tid * tiles_per_thread,
-                            &chunk,
-                            out,
-                        );
-                        pool.restore(tid, keys::BIN_TILES, chunk);
-                        total_accums += a;
-                        total_checks += c;
-                    }
-                }
+        // Each job's tile block comes from (and returns to) the owning
+        // pool worker's scratch arena.
+        let pool = WorkerPool::global();
+        let coords_shared: Arc<[[f64; D]]> = coords.into();
+        let values_shared: Arc<[Complex<T>]> = values.into();
+        let bins_shared = Arc::new(bins);
+        let lut_shared = lut.clone();
+        let bins_fallback = Arc::clone(&bins_shared);
+        let (tx, rx) = channel();
+        let run = pool.try_run(njobs, move |tid, arena| {
+            faultpoint!(crate::fault::GRIDDING_CHUNK);
+            let first_tile = tid * tiles_per_thread;
+            let my_tiles = tiles_per_thread.min(ntiles - first_tile);
+            let mut chunk = arena.take_vec(
+                keys::BIN_TILES,
+                my_tiles * tile_points,
+                Complex::<T>::zeroed(),
+            );
+            let (a, c) = binned_tile_worker::<T, D>(
+                &dec,
+                &lut_shared,
+                &coords_shared,
+                &values_shared,
+                &bins_shared,
+                b,
+                tiles_per_dim,
+                tile_points,
+                width,
+                first_tile,
+                &mut chunk,
+            );
+            let _ = tx.send((tid, chunk, a, c));
+        });
+        if run.is_err() {
+            // Contained job panic. Tile chunks unblock into `out` only in
+            // the drain below (never reached), so redo every tile in one
+            // serial pass — bitwise identical, the partition only decides
+            // ownership.
+            crate::engine::note_serial_fallback("gridding.binned");
+            drop(rx);
+            let dec = Decomposer::new(p);
+            let mut blocked = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
+            let (a, c) = binned_tile_worker::<T, D>(
+                &dec,
+                lut,
+                coords,
+                values,
+                &bins_fallback,
+                b,
+                tiles_per_dim,
+                tile_points,
+                width,
+                0,
+                &mut blocked,
+            );
+            unblock_tile_chunk::<T, D>(g, b, tiles_per_dim, tile_points, 0, &blocked, out);
+            total_accums = a;
+            total_checks = c;
+        } else {
+            for _ in 0..njobs {
+                let Ok((tid, chunk, a, c)) = rx.recv() else {
+                    unreachable!("pooled binned job result missing after clean run");
+                };
+                unblock_tile_chunk::<T, D>(
+                    g,
+                    b,
+                    tiles_per_dim,
+                    tile_points,
+                    tid * tiles_per_thread,
+                    &chunk,
+                    out,
+                );
+                pool.restore(tid, keys::BIN_TILES, chunk);
+                total_accums += a;
+                total_checks += c;
             }
         }
         let gridding_seconds = t1.elapsed().as_secs_f64();
@@ -326,9 +267,10 @@ impl<T: Float, const D: usize> Gridder<T, D> for BinnedGridder {
 }
 
 /// One worker's job: process every tile–bin pair in its tile range into a
-/// private tile-blocked chunk. Shared verbatim by the scoped and pooled
-/// backends, so the per-tile accumulation order (bin order, then window
-/// order) is identical under both. Returns (accumulations, checks).
+/// private tile-blocked chunk. The serial fallback runs it over every
+/// tile, so the per-tile accumulation order (bin order, then window
+/// order) never depends on the partition. Returns (accumulations,
+/// checks).
 #[allow(clippy::too_many_arguments)]
 fn binned_tile_worker<T: Float, const D: usize>(
     dec: &Decomposer,
@@ -489,7 +431,6 @@ mod tests {
             let binner = BinnedGridder {
                 bin_tile: 16,
                 threads: Some(threads),
-                ..Default::default()
             };
             let (a, b, _) = run_both(&p, 300, 5, &binner);
             for (x, y) in a.iter().zip(&b) {
@@ -505,7 +446,6 @@ mod tests {
         let binner = BinnedGridder {
             bin_tile: 8,
             threads: Some(2),
-            ..Default::default()
         };
         let (a, b, _) = run_both(&p, 200, 77, &binner);
         for (x, y) in a.iter().zip(&b) {
@@ -522,7 +462,6 @@ mod tests {
         let binner = BinnedGridder {
             bin_tile: 16,
             threads: Some(1),
-            ..Default::default()
         };
         // Place the sample right at a 4-tile corner: (16, 16).
         let coords = [[16.0, 16.0]];
@@ -555,7 +494,6 @@ mod tests {
         let binner = BinnedGridder {
             bin_tile: 16,
             threads: Some(1),
-            ..Default::default()
         };
         // One interior sample: 1 bin × 16² points.
         let mut out = vec![C64::zeroed(); 64 * 64];
@@ -592,7 +530,6 @@ mod tests {
         BinnedGridder {
             bin_tile: 8,
             threads: Some(2),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values, &mut b);
         for (x, y) in a.iter().zip(&b) {
@@ -610,7 +547,6 @@ mod tests {
         BinnedGridder {
             bin_tile: 4,
             threads: Some(1),
-            ..Default::default()
         }
         .grid(&p, &lut, &[[1.0, 1.0]], &[C64::one()], &mut out);
     }

@@ -14,7 +14,7 @@
 use super::{validate_batch, worker_threads, Gridder};
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
-use crate::engine::{keys, ExecBackend, WorkerPool};
+use crate::engine::{keys, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
 use jigsaw_num::{Complex, Float};
@@ -29,14 +29,11 @@ use std::time::Instant;
 /// Output points partition across workers; each worker scans the full
 /// sample stream for every point it owns, so the per-point accumulation
 /// order is the stream order regardless of the partition — the result is
-/// bitwise identical for any thread count and either backend.
+/// bitwise identical for any thread count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NaiveOutputGridder {
     /// Worker thread count (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// Execution backend: persistent worker pool (default) or legacy
-    /// per-call scoped threads.
-    pub backend: ExecBackend,
 }
 
 impl NaiveOutputGridder {
@@ -105,78 +102,53 @@ impl<T: Float, const D: usize> Gridder<T, D> for NaiveOutputGridder {
         let points_per_job = npoints.div_ceil(nthreads);
         let njobs = npoints.div_ceil(points_per_job);
         let mut total_accums = 0u64;
-        match self.backend {
-            ExecBackend::Scoped => {
-                let mut accum_counts = vec![0u64; njobs];
-                {
-                    let dec = &dec;
-                    let quant = &quant;
-                    std::thread::scope(|s| {
-                        for ((tid, chunk), acc_slot) in out
-                            .chunks_mut(points_per_job)
-                            .enumerate()
-                            .zip(accum_counts.iter_mut())
-                        {
-                            let lo = tid * points_per_job;
-                            s.spawn(move || {
-                                *acc_slot =
-                                    naive_worker::<T, D>(dec, lut, g, quant, values, lo, chunk);
-                            });
-                        }
-                    });
-                }
-                total_accums = accum_counts.iter().sum();
+        let pool = WorkerPool::global();
+        let quant_shared: Arc<[[u32; D]]> = quant.into();
+        let values_shared: Arc<[Complex<T>]> = values.into();
+        let lut_shared = lut.clone();
+        let quant_fallback = Arc::clone(&quant_shared);
+        let (tx, rx) = channel();
+        let run = pool.try_run(njobs, move |tid, arena| {
+            faultpoint!(crate::fault::GRIDDING_CHUNK);
+            let lo = tid * points_per_job;
+            let len = points_per_job.min(npoints - lo);
+            let mut chunk = arena.take_vec(keys::NAIVE_CHUNK, len, Complex::<T>::zeroed());
+            let n = naive_worker::<T, D>(
+                &dec,
+                &lut_shared,
+                g,
+                &quant_shared,
+                &values_shared,
+                lo,
+                &mut chunk,
+            );
+            let _ = tx.send((tid, chunk, n));
+        });
+        if run.is_err() {
+            // Contained job panic. Chunks fold into `out` only in the drain
+            // below (never reached), so recompute every grid point in one
+            // serial pass — bitwise identical, each point's windowed sum is
+            // independent.
+            crate::engine::note_serial_fallback("gridding.naive");
+            drop(rx);
+            let dec = Decomposer::new(p);
+            let mut chunk = vec![Complex::<T>::zeroed(); npoints];
+            total_accums =
+                naive_worker::<T, D>(&dec, lut, g, &quant_fallback, values, 0, &mut chunk);
+            for (o, &v) in out.iter_mut().zip(&chunk) {
+                *o += v;
             }
-            ExecBackend::Pooled => {
-                let pool = WorkerPool::global();
-                let quant_shared: Arc<[[u32; D]]> = quant.into();
-                let values_shared: Arc<[Complex<T>]> = values.into();
-                let lut_shared = lut.clone();
-                let quant_fallback = Arc::clone(&quant_shared);
-                let (tx, rx) = channel();
-                let run = pool.try_run(njobs, move |tid, arena| {
-                    faultpoint!(crate::fault::GRIDDING_CHUNK);
-                    let lo = tid * points_per_job;
-                    let len = points_per_job.min(npoints - lo);
-                    let mut chunk = arena.take_vec(keys::NAIVE_CHUNK, len, Complex::<T>::zeroed());
-                    let n = naive_worker::<T, D>(
-                        &dec,
-                        &lut_shared,
-                        g,
-                        &quant_shared,
-                        &values_shared,
-                        lo,
-                        &mut chunk,
-                    );
-                    let _ = tx.send((tid, chunk, n));
-                });
-                if run.is_err() {
-                    // Contained job panic. Chunks fold into `out` only in
-                    // the drain below (never reached), so recompute every
-                    // grid point in one serial pass — bitwise identical,
-                    // each point's windowed sum is independent.
-                    crate::engine::note_serial_fallback("gridding.naive");
-                    drop(rx);
-                    let dec = Decomposer::new(p);
-                    let mut chunk = vec![Complex::<T>::zeroed(); npoints];
-                    total_accums =
-                        naive_worker::<T, D>(&dec, lut, g, &quant_fallback, values, 0, &mut chunk);
-                    for (o, &v) in out.iter_mut().zip(&chunk) {
-                        *o += v;
-                    }
-                } else {
-                    for _ in 0..njobs {
-                        let Ok((tid, chunk, n)) = rx.recv() else {
-                            unreachable!("pooled naive job result missing after clean run");
-                        };
-                        let lo = tid * points_per_job;
-                        for (o, &v) in out[lo..lo + chunk.len()].iter_mut().zip(&chunk) {
-                            *o += v;
-                        }
-                        pool.restore(tid, keys::NAIVE_CHUNK, chunk);
-                        total_accums += n;
-                    }
+        } else {
+            for _ in 0..njobs {
+                let Ok((tid, chunk, n)) = rx.recv() else {
+                    unreachable!("pooled naive job result missing after clean run");
+                };
+                let lo = tid * points_per_job;
+                for (o, &v) in out[lo..lo + chunk.len()].iter_mut().zip(&chunk) {
+                    *o += v;
                 }
+                pool.restore(tid, keys::NAIVE_CHUNK, chunk);
+                total_accums += n;
             }
         }
         let stats = GridStats {
@@ -196,13 +168,9 @@ impl<T: Float, const D: usize> Gridder<T, D> for NaiveOutputGridder {
 
 /// One worker's job: for each grid point in `lo..lo + chunk.len()`, scan
 /// the full (pre-quantized) sample stream and accumulate the point's
-/// value into `chunk`. Shared verbatim by both backends.
-///
-/// The scoped backend hands `chunk` straight from the output grid (the
-/// per-point sum lands on top of the existing value), while the pooled
-/// backend hands a zeroed arena buffer that the caller adds into the
-/// output — both orderings produce identical bits because each point's
-/// windowed sum is computed in full before the single `+=`.
+/// value into `chunk`, a zeroed buffer the caller then adds into the
+/// output. Each point's windowed sum is computed in full before that
+/// single `+=`, so the partition never changes a bit.
 fn naive_worker<T: Float, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,

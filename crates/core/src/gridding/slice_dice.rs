@@ -42,7 +42,7 @@ use super::{
 };
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
-use crate::engine::{keys, ExecBackend, WorkerPool};
+use crate::engine::{keys, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
 use jigsaw_num::{Complex, Float};
@@ -85,12 +85,9 @@ pub struct SliceDiceGridder {
     ///
     /// This controls the *partition* of work (and therefore, for the
     /// non-deterministic block modes, the reduction shape) — not how many
-    /// OS threads exist. Under [`ExecBackend::Pooled`] the partition's
-    /// jobs are multiplexed onto the persistent global pool.
+    /// OS threads exist: the partition's jobs are multiplexed onto the
+    /// persistent global pool.
     pub threads: Option<usize>,
-    /// Execution backend: persistent worker pool (default) or legacy
-    /// per-call scoped threads.
-    pub backend: ExecBackend,
 }
 
 impl SliceDiceGridder {
@@ -99,14 +96,7 @@ impl SliceDiceGridder {
         Self {
             mode,
             threads: None,
-            backend: ExecBackend::default(),
         }
-    }
-
-    /// Builder-style backend override.
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
     }
 }
 
@@ -136,17 +126,16 @@ impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
             m: coords.len(),
             tile: p.tile,
         });
-        let b = self.backend;
         let stats = match self.mode {
-            SliceDiceMode::Serial => grid_rows(p, lut, coords, values, out, 1, b),
+            SliceDiceMode::Serial => grid_rows(p, lut, coords, values, out, 1),
             SliceDiceMode::ColumnParallel => {
-                grid_rows(p, lut, coords, values, out, worker_threads(self.threads), b)
+                grid_rows(p, lut, coords, values, out, worker_threads(self.threads))
             }
             SliceDiceMode::BlockAtomic => {
-                grid_block_atomic(p, lut, coords, values, out, worker_threads(self.threads), b)
+                grid_block_atomic(p, lut, coords, values, out, worker_threads(self.threads))
             }
             SliceDiceMode::BlockReduce => {
-                grid_block_reduce(p, lut, coords, values, out, worker_threads(self.threads), b)
+                grid_block_reduce(p, lut, coords, values, out, worker_threads(self.threads))
             }
         };
         stats.mirror("slice_dice");
@@ -183,10 +172,9 @@ impl OwnedRows {
 
 /// One row owner's job: stream the *full* sample stream, expand each
 /// sample's window once, and accumulate its points on owned rows into
-/// `slab`. Shared verbatim by the scoped and pooled backends and the
-/// serial fallback, so every grid point receives the same weight
-/// products in sample order whichever job owns it — the bitwise-equality
-/// guarantee rests on this.
+/// `slab`. Shared verbatim by the pooled jobs and the serial fallback, so
+/// every grid point receives the same weight products in sample order
+/// whichever job owns it — the bitwise-equality guarantee rests on this.
 fn rows_worker<T: Float, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
@@ -234,9 +222,8 @@ fn merge_rows<T: Float>(
 /// Column-owned execution: split the `T` row-axis pipeline indices into
 /// contiguous ranges, one per job; every job scans the full sample stream
 /// and accumulates into its private rows. Deterministic (per-point order
-/// = stream order) for *both* backends and any thread count: the
-/// partition only decides which job owns a row, never the order of
-/// accumulations within it.
+/// = stream order) for any thread count: the partition only decides which
+/// job owns a row, never the order of accumulations within it.
 fn grid_rows<T: Float, const D: usize>(
     p: &GridParams,
     lut: &KernelLut,
@@ -244,7 +231,6 @@ fn grid_rows<T: Float, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-    backend: ExecBackend,
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let t = p.tile;
@@ -259,68 +245,48 @@ fn grid_rows<T: Float, const D: usize>(
     let slab_len = move |rows: OwnedRows| (rows.hi - rows.lo) as usize * rows_len;
 
     let start = Instant::now();
-    match backend {
-        ExecBackend::Scoped => {
-            // Legacy path: per-call allocation + scoped spawn/join.
-            let mut slabs: Vec<Vec<Complex<T>>> = (0..njobs)
-                .map(|k| vec![Complex::zeroed(); slab_len(owned(k))])
-                .collect();
-            std::thread::scope(|s| {
-                for (k, slab) in slabs.iter_mut().enumerate() {
-                    let dec = &dec;
-                    s.spawn(move || rows_worker(dec, lut, coords, values, owned(k), slab));
-                }
-            });
-            for (k, slab) in slabs.iter().enumerate() {
-                merge_rows(t, row_len, owned(k), slab, out);
-            }
-        }
-        ExecBackend::Pooled => {
-            // Persistent path: jobs run on the global pool, row slabs come
-            // from (and return to) the owning worker's scratch arena.
-            let pool = WorkerPool::global();
-            let coords_shared: Arc<[[f64; D]]> = coords.into();
-            let values_shared: Arc<[Complex<T>]> = values.into();
-            let lut_shared = lut.clone();
-            let (tx, rx) = channel();
-            let run = pool.try_run(njobs, move |k, arena| {
-                faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let rows = owned(k);
-                let mut slab =
-                    arena.take_vec(keys::DICE_COLUMNS, slab_len(rows), Complex::<T>::zeroed());
-                rows_worker(
-                    &dec,
-                    &lut_shared,
-                    &coords_shared,
-                    &values_shared,
-                    rows,
-                    &mut slab,
-                );
-                let _ = tx.send((k, slab));
-            });
-            if run.is_err() {
-                // Contained job panic. The trait surface is infallible and
-                // slabs merge only in the drain below (never reached), so
-                // `out` is pristine: redo all rows in one serial pass —
-                // bitwise identical, the partition only decides ownership.
-                crate::engine::note_serial_fallback("gridding.slice_dice.columns");
-                drop(rx);
-                let all = OwnedRows {
-                    lo: 0,
-                    hi: t as u32,
-                };
-                let mut slab = vec![Complex::<T>::zeroed(); slab_len(all)];
-                rows_worker(&dec, lut, coords, values, all, &mut slab);
-                merge_rows(t, row_len, all, &slab, out);
-            } else {
-                for _ in 0..njobs {
-                    let Ok((k, slab)) = rx.recv() else {
-                        unreachable!("pooled row job result missing after clean run");
-                    };
-                    merge_rows(t, row_len, owned(k), &slab, out);
-                    pool.restore(k, keys::DICE_COLUMNS, slab);
-                }
-            }
+    // Jobs run on the global pool; row slabs come from (and return to) the
+    // owning worker's scratch arena.
+    let pool = WorkerPool::global();
+    let coords_shared: Arc<[[f64; D]]> = coords.into();
+    let values_shared: Arc<[Complex<T>]> = values.into();
+    let lut_shared = lut.clone();
+    let (tx, rx) = channel();
+    let run = pool.try_run(njobs, move |k, arena| {
+        faultpoint!(crate::fault::GRIDDING_CHUNK);
+        let rows = owned(k);
+        let mut slab = arena.take_vec(keys::DICE_COLUMNS, slab_len(rows), Complex::<T>::zeroed());
+        rows_worker(
+            &dec,
+            &lut_shared,
+            &coords_shared,
+            &values_shared,
+            rows,
+            &mut slab,
+        );
+        let _ = tx.send((k, slab));
+    });
+    if run.is_err() {
+        // Contained job panic. The trait surface is infallible and slabs
+        // merge only in the drain below (never reached), so `out` is
+        // pristine: redo all rows in one serial pass — bitwise identical,
+        // the partition only decides ownership.
+        crate::engine::note_serial_fallback("gridding.slice_dice.columns");
+        drop(rx);
+        let all = OwnedRows {
+            lo: 0,
+            hi: t as u32,
+        };
+        let mut slab = vec![Complex::<T>::zeroed(); slab_len(all)];
+        rows_worker(&dec, lut, coords, values, all, &mut slab);
+        merge_rows(t, row_len, all, &slab, out);
+    } else {
+        for _ in 0..njobs {
+            let Ok((k, slab)) = rx.recv() else {
+                unreachable!("pooled row job result missing after clean run");
+            };
+            merge_rows(t, row_len, owned(k), &slab, out);
+            pool.restore(k, keys::DICE_COLUMNS, slab);
         }
     }
     slice_dice_stats(p, coords.len(), D, start)
@@ -361,8 +327,7 @@ pub struct AtomicGrid64 {
 /// Floats that support lock-free atomic accumulation via bit-pattern CAS.
 pub trait AtomicFloat: Float {
     /// The shared-grid representation for this precision (`Send + Sync`
-    /// so the pooled backend can share it via `Arc` across `'static`
-    /// jobs).
+    /// so pool jobs can share it via `Arc` across `'static` jobs).
     type Grid: Send + Sync + 'static;
     /// Allocate a zeroed atomic grid of `n` complex points.
     fn alloc_grid(n: usize) -> Self::Grid;
@@ -445,7 +410,8 @@ fn cas_add_f64(atom: &AtomicU64, v: f64) {
 }
 
 /// One input block's job for the atomic mode: grid a block of samples
-/// into the shared atomic grid. Shared by both backends.
+/// into the shared atomic grid. Shared by the pooled jobs and the serial
+/// fallback.
 fn block_atomic_worker<T: AtomicFloat, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
@@ -480,7 +446,6 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-    backend: ExecBackend,
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
@@ -489,50 +454,38 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
     let nthreads = nthreads.min(m.max(1)).max(1);
     let chunk = m.div_ceil(nthreads).max(1);
     let mut shared = Arc::new(T::alloc_grid(npoints));
-    match backend {
-        ExecBackend::Scoped => {
-            let dec = &dec;
-            let shared = &*shared;
-            std::thread::scope(|s| {
-                for (c, v) in coords.chunks(chunk).zip(values.chunks(chunk)) {
-                    s.spawn(move || block_atomic_worker::<T, D>(dec, lut, c, v, shared));
-                }
-            });
-        }
-        ExecBackend::Pooled => {
-            let pool = WorkerPool::global();
-            let coords_shared: Arc<[[f64; D]]> = coords.into();
-            let values_shared: Arc<[Complex<T>]> = values.into();
-            let lut_shared = lut.clone();
-            let shared_jobs = Arc::clone(&shared);
-            let run = pool.try_run(nthreads, move |tid, _arena| {
-                faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let lo = (tid * chunk).min(m);
-                let hi = ((tid + 1) * chunk).min(m);
-                block_atomic_worker::<T, D>(
-                    &dec,
-                    &lut_shared,
-                    &coords_shared[lo..hi],
-                    &values_shared[lo..hi],
-                    &shared_jobs,
-                );
-            });
-            if run.is_err() {
-                // Contained job panic. Surviving jobs accumulated into the
-                // shared atomic grid, so discard it wholesale and redo all
-                // blocks in one serial pass over a fresh grid.
-                crate::engine::note_serial_fallback("gridding.slice_dice.atomic");
-                shared = Arc::new(T::alloc_grid(npoints));
-                block_atomic_worker::<T, D>(&dec, lut, coords, values, &shared);
-            }
-        }
+    let pool = WorkerPool::global();
+    let coords_shared: Arc<[[f64; D]]> = coords.into();
+    let values_shared: Arc<[Complex<T>]> = values.into();
+    let lut_shared = lut.clone();
+    let shared_jobs = Arc::clone(&shared);
+    let run = pool.try_run(nthreads, move |tid, _arena| {
+        faultpoint!(crate::fault::GRIDDING_CHUNK);
+        let lo = (tid * chunk).min(m);
+        let hi = ((tid + 1) * chunk).min(m);
+        block_atomic_worker::<T, D>(
+            &dec,
+            &lut_shared,
+            &coords_shared[lo..hi],
+            &values_shared[lo..hi],
+            &shared_jobs,
+        );
+    });
+    if run.is_err() {
+        // Contained job panic. Surviving jobs accumulated into the shared
+        // atomic grid, so discard it wholesale and redo all blocks in one
+        // serial pass over a fresh grid.
+        crate::engine::note_serial_fallback("gridding.slice_dice.atomic");
+        shared = Arc::new(T::alloc_grid(npoints));
+        block_atomic_worker::<T, D>(&dec, lut, coords, values, &shared);
     }
     T::drain(&shared, out);
     slice_dice_stats(p, m, D, start)
 }
 
 /// One input block's job for the reduce mode: grid a block of samples
-/// into a private partial grid. Shared by both backends.
+/// into a private partial grid. Shared by the pooled jobs and the serial
+/// fallback.
 fn block_reduce_worker<T: Float, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
@@ -553,8 +506,8 @@ fn block_reduce_worker<T: Float, const D: usize>(
 
 /// Block-parallel execution with private grids + deterministic merge.
 ///
-/// The merge runs in block order (`tid` ascending) under both backends,
-/// so for a fixed `threads` request the result is reproducible — though
+/// The merge runs in block order (`tid` ascending), so for a fixed
+/// `threads` request the result is reproducible — though
 /// unlike the column modes it is *not* bitwise equal to serial, because
 /// splitting the sample stream reassociates the floating-point sums.
 fn grid_block_reduce<T: Float, const D: usize>(
@@ -564,7 +517,6 @@ fn grid_block_reduce<T: Float, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-    backend: ExecBackend,
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
@@ -578,67 +530,41 @@ fn grid_block_reduce<T: Float, const D: usize>(
             *o += v;
         }
     };
-    match backend {
-        ExecBackend::Scoped => {
-            let mut partials: Vec<Vec<Complex<T>>> = Vec::with_capacity(nthreads);
-            partials.resize_with(nthreads, || vec![Complex::zeroed(); npoints]);
-            std::thread::scope(|s| {
-                for (tid, partial) in partials.iter_mut().enumerate() {
-                    let (dec, r) = (&dec, block(tid));
-                    s.spawn(move || {
-                        block_reduce_worker::<T, D>(
-                            dec,
-                            lut,
-                            &coords[r.clone()],
-                            &values[r],
-                            partial,
-                        )
-                    });
-                }
-            });
-            for partial in &partials {
-                merge(out, partial);
-            }
-        }
-        ExecBackend::Pooled => {
-            let pool = WorkerPool::global();
-            let coords_shared: Arc<[[f64; D]]> = coords.into();
-            let values_shared: Arc<[Complex<T>]> = values.into();
-            let lut_shared = lut.clone();
-            let (tx, rx) = channel();
-            let run = pool.try_run(nthreads, move |tid, arena| {
-                faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let r = block(tid);
-                let mut partial =
-                    arena.take_vec(keys::PARTIAL_GRID, npoints, Complex::<T>::zeroed());
-                block_reduce_worker::<T, D>(
-                    &dec,
-                    &lut_shared,
-                    &coords_shared[r.clone()],
-                    &values_shared[r],
-                    &mut partial,
-                );
-                let _ = tx.send((tid, partial));
-            });
-            if run.is_err() {
-                // Contained job panic. Partials merge into `out` only in
-                // the drain below (never reached), so redo the whole
-                // sample range in one serial block.
-                crate::engine::note_serial_fallback("gridding.slice_dice.blocks");
-                drop(rx);
-                let mut partial = vec![Complex::<T>::zeroed(); npoints];
-                block_reduce_worker::<T, D>(&dec, lut, coords, values, &mut partial);
-                merge(out, &partial);
-            } else {
-                // Deterministic merge: collect all partials, then fold them
-                // in block (tid) order exactly as the scoped path does.
-                let mut results: Vec<(usize, Vec<Complex<T>>)> = rx.iter().collect();
-                results.sort_unstable_by_key(|(tid, _)| *tid);
-                for (tid, partial) in results {
-                    merge(out, &partial);
-                    pool.restore(tid, keys::PARTIAL_GRID, partial);
-                }
-            }
+    let pool = WorkerPool::global();
+    let coords_shared: Arc<[[f64; D]]> = coords.into();
+    let values_shared: Arc<[Complex<T>]> = values.into();
+    let lut_shared = lut.clone();
+    let (tx, rx) = channel();
+    let run = pool.try_run(nthreads, move |tid, arena| {
+        faultpoint!(crate::fault::GRIDDING_CHUNK);
+        let r = block(tid);
+        let mut partial = arena.take_vec(keys::PARTIAL_GRID, npoints, Complex::<T>::zeroed());
+        block_reduce_worker::<T, D>(
+            &dec,
+            &lut_shared,
+            &coords_shared[r.clone()],
+            &values_shared[r],
+            &mut partial,
+        );
+        let _ = tx.send((tid, partial));
+    });
+    if run.is_err() {
+        // Contained job panic. Partials merge into `out` only in the drain
+        // below (never reached), so redo the whole sample range in one
+        // serial block.
+        crate::engine::note_serial_fallback("gridding.slice_dice.blocks");
+        drop(rx);
+        let mut partial = vec![Complex::<T>::zeroed(); npoints];
+        block_reduce_worker::<T, D>(&dec, lut, coords, values, &mut partial);
+        merge(out, &partial);
+    } else {
+        // Deterministic merge: collect all partials, then fold them in
+        // block (tid) order.
+        let mut results: Vec<(usize, Vec<Complex<T>>)> = rx.iter().collect();
+        results.sort_unstable_by_key(|(tid, _)| *tid);
+        for (tid, partial) in results {
+            merge(out, &partial);
+            pool.restore(tid, keys::PARTIAL_GRID, partial);
         }
     }
     slice_dice_stats(p, m, D, start)
@@ -682,7 +608,6 @@ mod tests {
             SliceDiceGridder {
                 mode: SliceDiceMode::ColumnParallel,
                 threads: Some(threads),
-                ..Default::default()
             }
             .grid(&p, &lut, &coords, &values, &mut b);
             grids_match_bitwise(&reference, &b, &format!("threads={threads}"));
@@ -700,7 +625,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::BlockReduce,
             threads: Some(4),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values, &mut b);
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
@@ -720,7 +644,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::BlockAtomic,
             threads: Some(4),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values, &mut b);
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
@@ -744,7 +667,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::BlockAtomic,
             threads: Some(3),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values32, &mut b);
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
@@ -780,7 +702,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::ColumnParallel,
             threads: Some(3),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values, &mut b);
         grids_match_bitwise(&a, &b, "3d");

@@ -37,10 +37,10 @@
 //!   data set.
 //! * [`metrics`] — NRMSD and friends for the image-quality experiments.
 //! * [`engine`] — the persistent worker-pool execution layer: every
-//!   parallel gridder dispatches into a long-lived [`engine::WorkerPool`]
-//!   with per-worker scratch arenas instead of spawning scoped threads
-//!   per call, amortizing thread and allocation churn across the many
-//!   transforms of a multi-coil reconstruction.
+//!   parallel gridder and batched transform dispatches into a long-lived
+//!   [`engine::WorkerPool`] with per-worker scratch arenas, amortizing
+//!   thread and allocation churn across the many transforms of a
+//!   multi-coil reconstruction.
 //! * [`serve`] — the plan-cached serving layer behind `jigsaw serve`: a
 //!   length-prefixed job protocol, a bounded LRU plan cache keyed by
 //!   trajectory contents, and a priority queue of jobs multiplexed onto

@@ -645,8 +645,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
     /// Single-threaded recompute of [`Self::adjoint_batch_planned`] — the
     /// graceful-degradation path after a pooled coil job fails. Bitwise
     /// identical to the pooled path: the scatter consumes the planned
-    /// samples in order, and every post-gridding stage is bitwise
-    /// invariant across executors.
+    /// samples in order, and every post-gridding stage runs the same
+    /// operations on any thread.
     fn adjoint_batch_planned_serial(
         &self,
         traj: &PlannedTrajectory<D>,

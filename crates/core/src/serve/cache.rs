@@ -3,7 +3,7 @@
 //! Planning — the per-sample quantize → decompose → LUT-lookup pass of
 //! [`NufftPlan::plan_trajectory`] plus the FFT twiddle/apodization setup
 //! of [`NufftPlan::new`] — dominates a one-shot transform (the warm-plan
-//! row of `BENCH_pooled_vs_scoped.json`). A serving daemon sees the same
+//! row of `BENCH_pooled_engines.json`). A serving daemon sees the same
 //! trajectories over and over (one per pulse sequence), so the cache
 //! keeps the `(plan, planned trajectory)` pair for the most recently
 //! used keys and evicts least-recently-used entries beyond a capacity

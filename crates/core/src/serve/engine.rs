@@ -120,7 +120,7 @@ impl ServeEngine {
                 if let Some(f) = payload.downcast_ref::<jigsaw_testkit::fault::FaultInjected>() {
                     telemetry::flight::record(FlightKind::FaultFired, request_id, req.tag, f.site);
                 }
-                let msg = jigsaw_fft::exec::panic_message(&*payload);
+                let msg = crate::engine::panic_message(&*payload);
                 telemetry::flight::record(
                     FlightKind::JobFailed,
                     request_id,

@@ -17,18 +17,18 @@
 //!
 //! The hot path is engineered for the CG inner loop:
 //!
-//! * Each image of a batch is one job on an [`Executor`] — by default the
-//!   shared [`WorkerPool`] — that runs the whole convolution serially, so
-//!   the coils of a SENSE normal-operator application spread over the
-//!   workers. A job's `(2N)^d` pad grid is recycled in its worker's
-//!   scratch arena under [`keys::COIL_GRID`]. A contained job panic takes
-//!   the engine's serial-fallback policy: the missing images are
-//!   recomputed on the calling thread (bitwise identical, counted in
+//! * Each image of a batch is one [`WorkerPool::try_run`] job — on the
+//!   shared global pool unless [`ToeplitzOperator::apply_with`] names
+//!   another — that runs the whole convolution serially, so the coils of a
+//!   SENSE normal-operator application spread over the workers. A job's
+//!   `(2N)^d` pad grid is recycled in its worker's scratch arena under
+//!   [`keys::COIL_GRID`]. A contained job panic takes the engine's
+//!   serial-fallback policy: the missing images are recomputed on the
+//!   calling thread (bitwise identical, counted once in
 //!   `engine.fallbacks`), or `Error::Execution` with the fallback off.
 //! * Inside a job both FFTs run serially ([`FftNd::process`]), and so
-//!   does the build's one torus FFT: on a small host a `(2N)^d` FFT split
-//!   into pool panels was slower than a serial one, and the coils already
-//!   keep the workers busy.
+//!   does the build's one torus FFT: the coils already keep the workers
+//!   busy.
 //! * The embed/extract index map (image pixel → torus position) is
 //!   precomputed at build time.
 //!
@@ -44,13 +44,12 @@ use crate::engine::{keys, WorkerPool};
 use crate::gridding::Gridder;
 use crate::nufft::NufftPlan;
 use crate::{Error, Result};
-use jigsaw_fft::exec::{self, Executor, Job};
 use jigsaw_fft::{Direction, FftNd};
 use jigsaw_num::C64;
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::faultpoint;
 use std::sync::mpsc::channel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A precomputed NuFFT normal operator `x ↦ AᴴA x`.
 pub struct ToeplitzOperator<const D: usize> {
@@ -245,7 +244,7 @@ impl<const D: usize> ToeplitzOperator<D> {
             Ok(Ok(op)) => return Ok(Some(Arc::new(op))),
             Ok(Err(Error::Execution(msg))) => msg,
             Ok(Err(other)) => return Err(other),
-            Err(payload) => jigsaw_fft::exec::panic_message(&*payload),
+            Err(payload) => crate::engine::panic_message(&*payload),
         };
         if !crate::engine::serial_fallback_enabled() {
             return Err(Error::Execution(format!(
@@ -273,13 +272,13 @@ impl<const D: usize> ToeplitzOperator<D> {
         self.apply_with(WorkerPool::global(), x)
     }
 
-    /// Like [`Self::apply`], but running the convolution job on the given
-    /// executor instead of the shared global pool. A job computes the same
+    /// Like [`Self::apply`], but running the convolution job on `pool`
+    /// instead of the shared global pool. A job computes the same
     /// operations wherever it runs, so the output is bitwise identical for
-    /// every executor and worker count — the bench pins pool sizes through
-    /// this seam to prove it.
-    pub fn apply_with(&self, exec: &dyn Executor, x: &[C64]) -> Result<Vec<C64>> {
-        let mut out = self.apply_batch_with(exec, &[x])?;
+    /// every pool size — the bench pins pool sizes through this method to
+    /// prove it.
+    pub fn apply_with(&self, pool: &WorkerPool, x: &[C64]) -> Result<Vec<C64>> {
+        let mut out = self.apply_batch_with(pool, &[x])?;
         Ok(out.pop().unwrap_or_default())
     }
 
@@ -292,33 +291,30 @@ impl<const D: usize> ToeplitzOperator<D> {
         self.apply_batch_with(WorkerPool::global(), xs)
     }
 
-    /// [`Self::apply_batch`] with the coil jobs on `exec`.
-    fn apply_batch_with(&self, exec: &dyn Executor, xs: &[&[C64]]) -> Result<Vec<Vec<C64>>> {
+    /// [`Self::apply_batch`] with the coil jobs on `pool`.
+    fn apply_batch_with(&self, pool: &WorkerPool, xs: &[&[C64]]) -> Result<Vec<Vec<C64>>> {
         for x in xs {
             self.check_image(x)?;
         }
         let _span = telemetry::span!("toeplitz.apply", { n: self.n, coils: xs.len() });
         telemetry::record_counter("toeplitz.applies", xs.len() as u64);
+        // Job `c` takes image `c` out of its slot, so each coil is copied
+        // once and convolved in place.
+        let images: Vec<Mutex<Option<Vec<C64>>>> =
+            xs.iter().map(|x| Mutex::new(Some(x.to_vec()))).collect();
+        let kernel = Arc::clone(&self.kernel);
         let (tx, rx) = channel();
-        let jobs: Vec<Job> = xs
-            .iter()
-            .enumerate()
-            .map(|(c, x)| {
-                let kernel = Arc::clone(&self.kernel);
-                let tx = tx.clone();
-                let mut image = x.to_vec();
-                let job: Job = Box::new(move |arena| {
-                    let len = kernel.psf_hat.len();
-                    let mut pad = exec::take_vec(arena, keys::COIL_GRID, len, C64::zeroed());
-                    kernel.convolve(&mut image, &mut pad);
-                    exec::give_vec(arena, keys::COIL_GRID, pad);
-                    let _ = tx.send((c, image));
-                });
-                job
-            })
-            .collect();
-        drop(tx);
-        if let Err(e) = exec.execute(jobs) {
+        let run = pool.try_run(xs.len(), move |c, arena| {
+            let Some(mut image) = images[c].lock().unwrap_or_else(|e| e.into_inner()).take() else {
+                return;
+            };
+            let len = kernel.psf_hat.len();
+            let mut pad = arena.take_vec(keys::COIL_GRID, len, C64::zeroed());
+            kernel.convolve(&mut image, &mut pad);
+            arena.give_vec(keys::COIL_GRID, pad);
+            let _ = tx.send((c, image));
+        });
+        if let Err(e) = run {
             if !crate::engine::serial_fallback_enabled() {
                 return Err(Error::Execution(format!("Toeplitz coil job failed: {e}")));
             }
@@ -542,14 +538,24 @@ mod tests {
         for (xc, got) in coils.iter().zip(&batch) {
             assert!(bits_eq(got, &top.apply(xc).unwrap()));
         }
-        // A job that never reports (as after a contained panic) is
-        // recomputed on the calling thread, into its own coil's slot.
+        // A coil job that fails (here: an injected panic before its body
+        // runs) is recomputed on the calling thread, into its own coil's
+        // slot. A private pool starts the jobs at once, so the one fire
+        // lands on them.
+        let pool = WorkerPool::new(2);
         let _lock = crate::fault::test_guard();
         crate::engine::set_serial_fallback(true);
-        let recomputed = top.apply_batch_with(&DropsJob(2), &refs).unwrap();
+        crate::fault::arm(crate::fault::FaultPlan::once_at(
+            crate::fault::ENGINE_DISPATCH,
+        ));
+        let recomputed = top.apply_batch_with(&pool, &refs);
+        let fired = crate::fault::fires();
+        crate::fault::disarm();
+        assert_eq!(fired, 1, "engine.dispatch must fire once");
+        let recomputed = recomputed.unwrap();
         assert_eq!(recomputed.len(), 4);
-        for (a, b) in batch.iter().zip(&recomputed) {
-            assert!(bits_eq(a, b));
+        for (c, (a, b)) in batch.iter().zip(&recomputed).enumerate() {
+            assert!(bits_eq(a, b), "coil {c}");
         }
     }
 
@@ -573,40 +579,6 @@ mod tests {
             for (c, (a, b)) in reference.iter().zip(&got).enumerate() {
                 assert!(bits_eq(a, b), "{workers} workers, coil {c}");
             }
-        }
-    }
-
-    /// Runs every job but `self.0` in order, then reports that one as
-    /// failed.
-    struct DropsJob(usize);
-
-    impl Executor for DropsJob {
-        fn execute(&self, jobs: Vec<Job>) -> std::result::Result<(), jigsaw_fft::ExecError> {
-            let mut arena = jigsaw_fft::exec::MapArena::default();
-            for (j, job) in jobs.into_iter().enumerate() {
-                if j != self.0 {
-                    job(&mut arena);
-                }
-            }
-            Err(jigsaw_fft::ExecError {
-                job: self.0,
-                worker: None,
-                message: "dropped".into(),
-            })
-        }
-
-        fn concurrency(&self) -> usize {
-            1
-        }
-
-        fn restore(
-            &self,
-            _job: usize,
-            _key: u64,
-            _ty: std::any::TypeId,
-            _buf: Box<dyn std::any::Any + Send>,
-            _bytes: usize,
-        ) {
         }
     }
 

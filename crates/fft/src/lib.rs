@@ -24,7 +24,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bluestein;
-pub mod exec;
 pub mod nd;
 pub mod radix;
 pub mod radix4;
@@ -32,7 +31,6 @@ pub mod shift;
 
 use jigsaw_num::{Complex, Float};
 
-pub use exec::{ExecError, Executor, SerialExecutor};
 pub use nd::FftNd;
 pub use shift::{fftshift, ifftshift};
 

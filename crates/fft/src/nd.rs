@@ -21,34 +21,21 @@
 //! floating-point operations are exactly the scalar 1-D path's, so the
 //! blocked pass is bitwise identical to line-at-a-time processing.
 //!
-//! # Parallel execution
-//!
-//! [`FftNd::process_with`] runs the panel jobs of each axis pass on an
-//! [`Executor`] — `jigsaw-core` implements that trait for its persistent
-//! `WorkerPool`, so one FFT parallelizes across panels. Output is bitwise
-//! identical to [`FftNd::process`] for every executor and worker count:
-//! each line receives exactly the same floating-point operations
-//! regardless of panel grouping or scheduling (lines are independent, the
-//! panel partition depends only on the shape, and there are no atomics and
-//! no merge-order dependence).
+//! Every axis pass runs serially on the calling thread. Callers that want
+//! parallelism run whole transforms side by side (one coil per worker in
+//! `jigsaw-core`), which keeps each transform's floating-point operations
+//! independent of scheduling.
 
-use crate::exec::{self, ExecError, Executor};
 use crate::{Direction, Fft1d};
 use jigsaw_num::{Complex, Float};
 use jigsaw_telemetry as telemetry;
-use jigsaw_testkit::{cancel, faultpoint};
-use std::sync::mpsc::channel;
-use std::sync::Arc;
-
-/// Fault-injection site fired inside every parallel panel job (see
-/// `jigsaw_testkit::fault`). Listed in `jigsaw_core::fault::SITES`.
-pub const FAULT_PANEL: &str = "fft.panel";
+use jigsaw_testkit::cancel;
 
 /// Lines per cache-blocked panel. 32 lines × 16-byte elements = 512-byte
 /// blocked reads/writes per grid row — wide enough to amortize the strided
 /// access, small enough that a `32×d` panel stays cache-resident for every
-/// supported grid size. Fixed (never derived from executor concurrency) so
-/// the panel partition is deterministic.
+/// supported grid size. Fixed, so the panel partition depends only on the
+/// shape.
 pub const PANEL_LINES: usize = 32;
 
 /// `k`-tile depth of the transpose gather/scatter on the contiguous axis:
@@ -59,16 +46,15 @@ const K_TILE: usize = 16;
 
 /// A planned multi-dimensional FFT.
 ///
-/// One [`Fft1d`] plan is created per distinct axis length, so a square 2-D
-/// plan stores a single 1-D plan. Plans are `Arc`-shared so panel jobs can
-/// carry them onto executor workers.
+/// One [`Fft1d`] plan is created per axis, so a square 2-D plan holds two
+/// identical 1-D plans.
 pub struct FftNd<T> {
     dims: Vec<usize>,
-    plans: Vec<Arc<Fft1d<T>>>, // parallel to dims
+    plans: Vec<Fft1d<T>>, // parallel to dims
     len: usize,
 }
 
-/// Geometry of one panel job: `lines` lines whose element `(l, k)` lives
+/// Geometry of one panel: `lines` lines whose element `(l, k)` lives
 /// at `start + l·line_step + k·elem_step` in the flat array.
 #[derive(Clone, Copy)]
 struct Panel {
@@ -168,7 +154,7 @@ impl<T: Float> FftNd<T> {
     pub fn new(dims: &[usize]) -> Self {
         assert!(!dims.is_empty(), "need at least one dimension");
         assert!(dims.iter().all(|&d| d > 0), "zero-sized dimension");
-        let plans = dims.iter().map(|&d| Arc::new(Fft1d::new(d))).collect();
+        let plans = dims.iter().map(|&d| Fft1d::new(d)).collect();
         let len = dims.iter().product();
         Self {
             dims: dims.to_vec(),
@@ -197,8 +183,7 @@ impl<T: Float> FftNd<T> {
 
     /// The panel partition of one axis pass: every line along `axis`
     /// grouped into blocks of at most [`PANEL_LINES`] adjacent lines.
-    /// Depends only on the shape — never on the executor — so parallel
-    /// and serial execution share one deterministic decomposition.
+    /// Depends only on the shape.
     fn panels_for_axis(&self, axis: usize) -> Vec<Panel> {
         let d = self.dims[axis];
         let stride: usize = self.dims[axis + 1..].iter().product();
@@ -248,208 +233,38 @@ impl<T: Float> FftNd<T> {
         let mut im_s: Vec<T> = Vec::new();
         let mut work: Vec<T> = Vec::new();
         for axis in 0..self.dims.len() {
-            if self.dims[axis] == 1 {
-                continue;
-            }
-            self.process_axis_serial(axis, data, dir, &mut re_s, &mut im_s, &mut work);
-        }
-    }
-
-    /// One serial cache-blocked panel pass along `axis`. Shared by
-    /// [`Self::process`] and the per-axis serial fallback of
-    /// [`Self::process_with`], so both produce identical floating-point
-    /// operation sequences.
-    fn process_axis_serial(
-        &self,
-        axis: usize,
-        data: &mut [Complex<T>],
-        dir: Direction,
-        re_s: &mut Vec<T>,
-        im_s: &mut Vec<T>,
-        work: &mut Vec<T>,
-    ) {
-        let d = self.dims[axis];
-        let plan = &self.plans[axis];
-        let panels = self.panels_for_axis(axis);
-        let _span = axis_span(axis, d, panels.len());
-        let max_lines = panels.iter().map(|p| p.lines).max().unwrap_or(0);
-        re_s.resize(max_lines * d, T::ZERO);
-        im_s.resize(max_lines * d, T::ZERO);
-        for p in &panels {
-            if cancel::cancelled() {
-                // Cooperative cancellation: stop between panels. `data` is
-                // left partially transformed; the budget owner that tripped
-                // the flag discards it (see `jigsaw_testkit::cancel`).
-                return;
-            }
-            let re = &mut re_s[..p.lines * d];
-            let im = &mut im_s[..p.lines * d];
-            gather_panel(data, p, d, re, im);
-            work.resize(plan.batch_scratch_len(p.lines), T::ZERO);
-            plan.process_planes(re, im, p.lines, dir, work);
-            scatter_panel(re, im, p, d, data);
-        }
-    }
-
-    /// Transform `data` in place, running each axis pass's panel jobs on
-    /// `exec`. Output is **bitwise identical** to [`Self::process`] for
-    /// every executor and worker count (see the module docs for why).
-    ///
-    /// Each pass snapshots the array once (contiguous memcpy), ships
-    /// `Arc`-shared panel jobs to the executor — every job gathers its
-    /// panel from the snapshot into executor-recycled scratch
-    /// ([`exec::PANEL_KEY`]) and runs the batched 1-D FFTs — then the
-    /// caller scatters returned panels back with blocked writes.
-    ///
-    /// # Panics
-    /// Panics if `data.len()` does not match the planned shape.
-    ///
-    /// # Failure handling
-    /// A panel job that panics on the executor is contained there (see
-    /// [`Executor::execute`]); this method then re-runs the affected axis
-    /// pass serially on the calling thread — output stays bitwise
-    /// identical — and counts the retry in the `engine.fallbacks`
-    /// telemetry metric. Use [`Self::try_process_with`] to surface the
-    /// failure instead of degrading.
-    pub fn process_with(&self, exec: &dyn Executor, data: &mut [Complex<T>], dir: Direction) {
-        // Infallible by construction: every ExecError takes the serial
-        // fallback branch, which cannot fail.
-        let _ = self.run_with(exec, data, dir, true);
-    }
-
-    /// Strict variant of [`Self::process_with`]: a contained panel-job
-    /// failure is returned as an [`ExecError`] instead of triggering the
-    /// serial fallback. On `Err`, axes before the failing one have
-    /// already been transformed in place, so `data` must be treated as
-    /// corrupted and rebuilt by the caller.
-    pub fn try_process_with(
-        &self,
-        exec: &dyn Executor,
-        data: &mut [Complex<T>],
-        dir: Direction,
-    ) -> Result<(), ExecError> {
-        self.run_with(exec, data, dir, false)
-    }
-
-    fn run_with(
-        &self,
-        exec: &dyn Executor,
-        data: &mut [Complex<T>],
-        dir: Direction,
-        fallback: bool,
-    ) -> Result<(), ExecError> {
-        assert_eq!(data.len(), self.len, "buffer must match planned shape");
-        if exec.concurrency() <= 1 {
-            // Same results; skip the snapshot/boxing overhead entirely.
-            self.process(data, dir);
-            return Ok(());
-        }
-        let mut snapshot: Vec<Complex<T>> = Vec::with_capacity(self.len);
-        let (mut re_s, mut im_s, mut work) = (Vec::new(), Vec::new(), Vec::new());
-        for axis in 0..self.dims.len() {
             let d = self.dims[axis];
             if d == 1 {
                 continue;
             }
-            if cancel::cancelled() {
-                // Cancelled between axis passes: skip the remaining work.
-                // `data` stays partially transformed and is discarded by
-                // whoever tripped the budget flag.
-                return Ok(());
-            }
+            let plan = &self.plans[axis];
             let panels = self.panels_for_axis(axis);
-            let span = axis_span(axis, d, panels.len());
-            // One contiguous copy; jobs gather from the shared snapshot in
-            // parallel while the caller owns `data` for the scatter phase.
-            snapshot.clear();
-            snapshot.extend_from_slice(data);
-            let src: Arc<Vec<Complex<T>>> = Arc::new(std::mem::take(&mut snapshot));
-            let plan = Arc::clone(&self.plans[axis]);
-            let (tx, rx) = channel::<(usize, Vec<T>)>();
-            let jobs: Vec<exec::Job> = panels
-                .iter()
-                .enumerate()
-                .map(|(j, &p)| {
-                    let src = Arc::clone(&src);
-                    let plan = Arc::clone(&plan);
-                    let tx = tx.clone();
-                    let job: exec::Job = Box::new(move |arena| {
-                        let _pspan = telemetry::span!("fft.panel", {
-                            axis: axis,
-                            lines: p.lines
-                        });
-                        faultpoint!(FAULT_PANEL);
-                        // One recycled buffer holds both planes: re in the
-                        // first half, im in the second.
-                        let mut panel =
-                            exec::take_vec::<T>(arena, exec::PANEL_KEY, 2 * p.lines * d, T::ZERO);
-                        if cancel::cancelled() {
-                            // Cancelled: skip the gather + batched FFTs, but
-                            // still report the (stale-content) panel so the
-                            // caller's completion accounting holds. The
-                            // scattered garbage is discarded with the job.
-                            let _ = tx.send((j, panel));
-                            return;
-                        }
-                        let (re, im) = panel.split_at_mut(p.lines * d);
-                        gather_panel(&src, &p, d, re, im);
-                        let wl = plan.batch_scratch_len(p.lines);
-                        if wl == 0 {
-                            plan.process_planes(re, im, p.lines, dir, &mut []);
-                        } else {
-                            // Bluestein convolution scratch cycles through
-                            // the worker's arena, never leaving the job.
-                            let mut work = exec::take_vec::<T>(arena, exec::WORK_KEY, wl, T::ZERO);
-                            plan.process_planes(re, im, p.lines, dir, &mut work);
-                            exec::give_vec(arena, exec::WORK_KEY, work);
-                        }
-                        let _ = tx.send((j, panel));
-                    });
-                    job
-                })
-                .collect();
-            drop(tx);
-            if let Err(e) = exec.execute(jobs) {
-                if !fallback {
-                    return Err(e);
+            let _span = axis_span(axis, d, panels.len());
+            let max_lines = panels.iter().map(|p| p.lines).max().unwrap_or(0);
+            re_s.resize(max_lines * d, T::ZERO);
+            im_s.resize(max_lines * d, T::ZERO);
+            for p in &panels {
+                if cancel::cancelled() {
+                    // Cooperative cancellation: stop between panels. `data`
+                    // is left partially transformed; the budget owner that
+                    // tripped the flag discards it (see
+                    // `jigsaw_testkit::cancel`).
+                    return;
                 }
-                // Discard whatever the surviving jobs sent — `data` is
-                // untouched for this axis (scatter happens only below) —
-                // and redo the whole pass serially: bitwise-identical
-                // output, counted so operators can see the degradation.
-                telemetry::record_counter("engine.fallbacks", 1);
-                telemetry::flight::record(
-                    telemetry::FlightKind::FallbackTaken,
-                    telemetry::current_request_id(),
-                    axis as u64,
-                    "fft.axis_pass",
-                );
-                drop(rx);
-                drop(span);
-                self.process_axis_serial(axis, data, dir, &mut re_s, &mut im_s, &mut work);
-                snapshot = Arc::try_unwrap(src).unwrap_or_default();
-                continue;
-            }
-            let mut received = 0usize;
-            while let Ok((j, panel)) = rx.recv() {
-                let p = &panels[j];
-                let (re, im) = panel.split_at(p.lines * d);
+                let re = &mut re_s[..p.lines * d];
+                let im = &mut im_s[..p.lines * d];
+                gather_panel(data, p, d, re, im);
+                work.resize(plan.batch_scratch_len(p.lines), T::ZERO);
+                plan.process_planes(re, im, p.lines, dir, &mut work);
                 scatter_panel(re, im, p, d, data);
-                exec::restore_vec(exec, j, exec::PANEL_KEY, panel);
-                received += 1;
             }
-            assert_eq!(received, panels.len(), "a panel job failed to report");
-            // Reclaim the snapshot allocation for the next axis pass.
-            snapshot = Arc::try_unwrap(src).unwrap_or_default();
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::SerialExecutor;
     use jigsaw_num::C64;
 
     /// Direct 2-D DFT oracle.
@@ -595,26 +410,6 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&c| c == 1), "axis {axis} coverage");
-        }
-    }
-
-    #[test]
-    fn serial_executor_path_is_bitwise_process() {
-        // process_with(&SerialExecutor) must agree bit-for-bit with process
-        // on a shape exercising panels on both contiguous and strided axes,
-        // including a Bluestein axis length.
-        for dims in [vec![48usize, 40], vec![33, 8, 5]] {
-            let n: usize = dims.iter().product();
-            let x = signal(n);
-            let plan = FftNd::new(&dims);
-            let mut a = x.clone();
-            let mut b = x;
-            plan.process(&mut a, Direction::Forward);
-            plan.process_with(&SerialExecutor::new(), &mut b, Direction::Forward);
-            for (p, q) in a.iter().zip(&b) {
-                assert_eq!(p.re.to_bits(), q.re.to_bits());
-                assert_eq!(p.im.to_bits(), q.im.to_bits());
-            }
         }
     }
 

@@ -32,7 +32,7 @@ static STATE: AtomicU8 = AtomicU8::new(0);
 /// panic containment) downcast to this to report the site by name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultInjected {
-    /// The fault-point name that fired, e.g. `"fft.panel"`.
+    /// The fault-point name that fired, e.g. `"nufft.coil"`.
     pub site: &'static str,
 }
 

@@ -26,8 +26,6 @@ use jigsaw::core::recon::{
 };
 use jigsaw::core::toeplitz::ToeplitzOperator;
 use jigsaw::core::{Error, NufftConfig, NufftPlan};
-use jigsaw::fft::exec::Job;
-use jigsaw::fft::{Direction, ExecError, Executor, FftNd, SerialExecutor};
 use jigsaw::num::C64;
 use jigsaw::telemetry;
 use jigsaw_testkit::fault::{arm, disarm, fires, test_guard, FaultPlan};
@@ -247,85 +245,6 @@ fn gridding_chunk_fault_degrades_bitwise() {
         .counter("engine.fallbacks")
         .unwrap_or(0);
     assert!(after > before, "engine.fallbacks must increment");
-}
-
-/// An executor that *reports* concurrency 2 — forcing [`FftNd`] onto its
-/// panel-job orchestration even on a single-CPU machine, where
-/// `WorkerPool::concurrency()` is capped at 1 and the panel path (and
-/// its fault point) would be unreachable — while delegating actual
-/// execution to the contained [`SerialExecutor`].
-struct PanelDriver(SerialExecutor);
-
-impl Executor for PanelDriver {
-    fn execute(&self, jobs: Vec<Job>) -> Result<(), ExecError> {
-        self.0.execute(jobs)
-    }
-
-    fn concurrency(&self) -> usize {
-        2
-    }
-
-    fn restore(
-        &self,
-        job: usize,
-        key: u64,
-        ty: std::any::TypeId,
-        buf: Box<dyn std::any::Any + Send>,
-        bytes: usize,
-    ) {
-        self.0.restore(job, key, ty, buf, bytes);
-    }
-}
-
-/// Contracts 1 + 2 for the FFT panel site, driven through an executor
-/// that keeps the panel-job path live on single-CPU machines.
-#[test]
-fn fft_panel_fault_strict_errors_then_fallback_matches_serial() {
-    let _lock = test_guard();
-    let _policy = PolicyGuard;
-    telemetry::set_enabled(true);
-    let pool = PanelDriver(SerialExecutor::new());
-    let fft = FftNd::<f64>::new(&[16, 16]);
-    let mut baseline: Vec<C64> = (0..256)
-        .map(|i| C64::new((i as f64 * 0.13).sin(), (i as f64 * 0.07).cos()))
-        .collect();
-    let original = baseline.clone();
-    fft.process_with(&pool, &mut baseline, Direction::Forward);
-
-    // Strict: the contained panel panic surfaces as an ExecError.
-    arm(FaultPlan::once_at(fault::FFT_PANEL));
-    let mut strict = original.clone();
-    let err = fft
-        .try_process_with(&pool, &mut strict, Direction::Forward)
-        .expect_err("fft.panel fault must surface in strict mode");
-    assert_eq!(fires(), 1, "fft.panel must actually fire");
-    assert!(err.to_string().contains("fft.panel"), "got: {err}");
-    disarm();
-
-    // Degrading: the per-axis serial retry is bitwise identical.
-    let before = telemetry::global()
-        .snapshot()
-        .counter("engine.fallbacks")
-        .unwrap_or(0);
-    arm(FaultPlan::once_at(fault::FFT_PANEL));
-    let mut degraded = original.clone();
-    fft.process_with(&pool, &mut degraded, Direction::Forward);
-    assert_eq!(fires(), 1);
-    disarm();
-    assert!(
-        bits_eq(&baseline, &degraded),
-        "FFT serial retry must be bitwise identical"
-    );
-    let after = telemetry::global()
-        .snapshot()
-        .counter("engine.fallbacks")
-        .unwrap_or(0);
-    assert!(after > before, "engine.fallbacks must increment");
-
-    // The pool survives both faults and still runs clean panel jobs.
-    let mut clean = original;
-    fft.process_with(&pool, &mut clean, Direction::Forward);
-    assert!(bits_eq(&baseline, &clean));
 }
 
 /// Contract 3: the CG-iteration site poisons a residual (no panic); the
@@ -843,7 +762,6 @@ fn every_registered_site_is_covered() {
         fault::ENGINE_DISPATCH,
         fault::NUFFT_COIL,
         fault::GRIDDING_CHUNK,
-        fault::FFT_PANEL,
         fault::RECON_CG_ITER,
         fault::RECON_NORMAL_OP,
         fault::SERVE_JOB,

@@ -1,8 +1,7 @@
 //! Cross-crate property tests: every gridding engine — serial, naive
 //! output-parallel, binned, Slice-and-Dice in all modes, and the JIGSAW
-//! fixed-point simulator — must compute the *same gridding operator*,
-//! whether it runs on legacy scoped threads or the persistent worker
-//! pool, and for any worker count.
+//! fixed-point simulator — must compute the *same gridding operator* for
+//! any worker count.
 //!
 //! The deterministic f64 engines must agree **bitwise** (they share the
 //! decomposition, the LUT, and the per-point accumulation order); the
@@ -10,7 +9,6 @@
 //! bounds.
 
 use jigsaw::core::config::GridParams;
-use jigsaw::core::engine::ExecBackend;
 use jigsaw::core::gridding::{
     BinnedGridder, Gridder, NaiveOutputGridder, SerialGridder, SliceDiceGridder, SliceDiceMode,
 };
@@ -66,8 +64,8 @@ fn bits(grid: &[C64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Every deterministic engine, on either backend, with 1/2/3/8 workers
-/// and tile side 8 or 16, reproduces the serial reference bit-for-bit.
+/// Every deterministic engine, with 1/2/3/8 workers and tile side 8 or
+/// 16, reproduces the serial reference bit-for-bit.
 /// Three workers divide neither tile side, so Slice-and-Dice's row
 /// ownership splits unevenly.
 #[test]
@@ -86,99 +84,44 @@ fn deterministic_engines_agree_bitwise() {
         let mut reference = vec![C64::zeroed(); npts];
         SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
         let reference_bits = bits(&reference);
-        for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-            for threads in [1usize, 2, 3, 8] {
-                let engines: Vec<Box<dyn Gridder<f64, 2>>> = vec![
-                    Box::new(NaiveOutputGridder {
-                        threads: Some(threads),
-                        backend,
-                    }),
-                    Box::new(BinnedGridder {
-                        bin_tile: 8,
-                        threads: Some(threads),
-                        backend,
-                    }),
-                    Box::new(BinnedGridder {
-                        bin_tile: 16,
-                        threads: Some(threads),
-                        backend,
-                    }),
-                    Box::new(SliceDiceGridder {
-                        mode: SliceDiceMode::Serial,
-                        threads: None,
-                        backend,
-                    }),
-                    Box::new(SliceDiceGridder {
-                        mode: SliceDiceMode::ColumnParallel,
-                        threads: Some(threads),
-                        backend,
-                    }),
-                ];
-                for e in &engines {
-                    let mut out = vec![C64::zeroed(); npts];
-                    e.grid(&p, &lut, &coords, &values, &mut out);
-                    assert_eq!(
-                        bits(&out),
-                        reference_bits,
-                        "engine {} differs ({backend:?}, {threads} threads, T = {tile})",
-                        e.name()
-                    );
-                }
+        for threads in [1usize, 2, 3, 8] {
+            let engines: Vec<Box<dyn Gridder<f64, 2>>> = vec![
+                Box::new(NaiveOutputGridder {
+                    threads: Some(threads),
+                }),
+                Box::new(BinnedGridder {
+                    bin_tile: 8,
+                    threads: Some(threads),
+                }),
+                Box::new(BinnedGridder {
+                    bin_tile: 16,
+                    threads: Some(threads),
+                }),
+                Box::new(SliceDiceGridder {
+                    mode: SliceDiceMode::Serial,
+                    threads: None,
+                }),
+                Box::new(SliceDiceGridder {
+                    mode: SliceDiceMode::ColumnParallel,
+                    threads: Some(threads),
+                }),
+            ];
+            for e in &engines {
+                let mut out = vec![C64::zeroed(); npts];
+                e.grid(&p, &lut, &coords, &values, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    reference_bits,
+                    "engine {} differs ({threads} threads, T = {tile})",
+                    e.name()
+                );
             }
         }
     });
 }
 
-/// The pooled backend is not merely close to the scoped one — it is the
-/// *same function*: bitwise-equal output and identical logical-work
-/// counters for every deterministic engine and worker count.
-#[test]
-fn pooled_backend_is_bitwise_invariant_of_scoped() {
-    cases!(16, |rng| {
-        let (coords, values) = arb_samples(rng, 64, 200);
-        let p = params(64, 6, 32);
-        let lut = KernelLut::from_params(&p);
-        let npts = 64 * 64;
-        let threads = *rng.choose(&[1usize, 2, 3, 8]);
-        type Mk = Box<dyn Fn(ExecBackend) -> Box<dyn Gridder<f64, 2>>>;
-        let mks: Vec<Mk> = vec![
-            Box::new(move |backend| {
-                Box::new(SliceDiceGridder {
-                    mode: SliceDiceMode::ColumnParallel,
-                    threads: Some(threads),
-                    backend,
-                })
-            }),
-            Box::new(move |backend| {
-                Box::new(BinnedGridder {
-                    bin_tile: 8,
-                    threads: Some(threads),
-                    backend,
-                })
-            }),
-            Box::new(move |backend| {
-                Box::new(NaiveOutputGridder {
-                    threads: Some(threads),
-                    backend,
-                })
-            }),
-        ];
-        for mk in &mks {
-            let mut scoped = vec![C64::zeroed(); npts];
-            let mut pooled = vec![C64::zeroed(); npts];
-            let s = mk(ExecBackend::Scoped).grid(&p, &lut, &coords, &values, &mut scoped);
-            let q = mk(ExecBackend::Pooled).grid(&p, &lut, &coords, &values, &mut pooled);
-            assert_eq!(bits(&scoped), bits(&pooled));
-            assert_eq!(s.boundary_checks, q.boundary_checks);
-            assert_eq!(s.kernel_accumulations, q.kernel_accumulations);
-            assert_eq!(s.samples_processed, q.samples_processed);
-        }
-    });
-}
-
 /// Atomic/reduce block modes are allowed to reorder float adds; they must
-/// still agree with the serial reference to ~f64 rounding, on both
-/// backends.
+/// still agree with the serial reference to ~f64 rounding.
 #[test]
 fn nondeterministic_engines_agree_within_fp() {
     cases!(16, |rng| {
@@ -189,18 +132,15 @@ fn nondeterministic_engines_agree_within_fp() {
         let npts = 32 * 32;
         let mut reference = vec![C64::zeroed(); npts];
         SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
-        for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-            for mode in [SliceDiceMode::BlockAtomic, SliceDiceMode::BlockReduce] {
-                let mut out = vec![C64::zeroed(); npts];
-                SliceDiceGridder {
-                    mode,
-                    threads: Some(threads),
-                    backend,
-                }
-                .grid(&p, &lut, &coords, &values, &mut out);
-                let err = rel_l2(&out, &reference);
-                assert!(err < 1e-12, "mode {mode:?} ({backend:?}): err {err}");
+        for mode in [SliceDiceMode::BlockAtomic, SliceDiceMode::BlockReduce] {
+            let mut out = vec![C64::zeroed(); npts];
+            SliceDiceGridder {
+                mode,
+                threads: Some(threads),
             }
+            .grid(&p, &lut, &coords, &values, &mut out);
+            let err = rel_l2(&out, &reference);
+            assert!(err < 1e-12, "mode {mode:?}: err {err}");
         }
     });
 }

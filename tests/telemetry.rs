@@ -8,7 +8,7 @@
 //! process-global, so every test takes the same mutex.
 
 use jigsaw::core::config::GridParams;
-use jigsaw::core::engine::{ExecBackend, WorkerPool};
+use jigsaw::core::engine::WorkerPool;
 use jigsaw::core::gridding::{Gridder, SerialGridder, SliceDiceGridder};
 use jigsaw::core::kernel::KernelKind;
 use jigsaw::core::lut::KernelLut;
@@ -58,7 +58,7 @@ fn pooled_spans_carry_worker_attribution() {
     let lut = KernelLut::from_params(&p);
     let (coords, values) = sample_batch(500);
     let mut out = vec![C64::zeroed(); 64 * 64];
-    let engine = SliceDiceGridder::default().with_backend(ExecBackend::Pooled);
+    let engine = SliceDiceGridder::default();
     Gridder::<f64, 2>::grid(&engine, &p, &lut, &coords, &values, &mut out);
 
     let events = telemetry::drain_events();
@@ -120,7 +120,7 @@ fn disabled_collection_is_deterministic() {
     let (coords, values) = sample_batch(300);
     for _ in 0..2 {
         let mut out = vec![C64::zeroed(); 64 * 64];
-        let engine = SliceDiceGridder::default().with_backend(ExecBackend::Pooled);
+        let engine = SliceDiceGridder::default();
         Gridder::<f64, 2>::grid(&engine, &p, &lut, &coords, &values, &mut out);
         telemetry::record_counter("should.not.appear", 1);
         telemetry::counter_event("should.not.appear", 1.0);
