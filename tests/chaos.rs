@@ -18,7 +18,7 @@
 //! test serializes on `fault::test_guard()` and restores the fallback
 //! default on drop.
 
-use jigsaw::core::engine::set_serial_fallback;
+use jigsaw::core::engine::{set_serial_fallback, WorkerPool};
 use jigsaw::core::fault;
 use jigsaw::core::gridding::SliceDiceGridder;
 use jigsaw::core::recon::{
@@ -48,9 +48,10 @@ fn bits_eq(a: &[C64], b: &[C64]) -> bool {
             .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
-/// A small multi-coil problem: plan, trajectory, and per-coil data.
-fn coil_problem(n: usize, coils: usize) -> (NufftPlan<f64, 2>, Vec<[f64; 2]>, Vec<Vec<C64>>) {
-    let coords = jigsaw::core::traj::radial_2d(12, 2 * n, true);
+/// A radial multi-coil problem on `spokes` spokes: plan, trajectory, and
+/// per-coil data.
+fn radial_problem(n: usize, spokes: usize, coils: usize) -> Problem {
+    let coords = jigsaw::core::traj::radial_2d(spokes, 2 * n, true);
     let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(n)).unwrap();
     let data: Vec<Vec<C64>> = (0..coils)
         .map(|c| {
@@ -62,6 +63,25 @@ fn coil_problem(n: usize, coils: usize) -> (NufftPlan<f64, 2>, Vec<[f64; 2]>, Ve
         })
         .collect();
     (plan, coords, data)
+}
+
+/// A small multi-coil problem: plan, trajectory, and per-coil data.
+fn coil_problem(n: usize, coils: usize) -> Problem {
+    radial_problem(n, 12, coils)
+}
+
+/// A plan, its trajectory and per-coil data.
+type Problem = (NufftPlan<f64, 2>, Vec<[f64; 2]>, Vec<Vec<C64>>);
+
+/// The planned batches the pool-level contracts drive, each with the
+/// number of pool jobs it runs: three coils run one job per coil, and
+/// one coil on 480 spokes (M·W² ≈ 0.55 M kernel accumulations, above the
+/// row-band cutoff) runs one row-band job per worker of the global pool,
+/// or one job on a one-CPU host.
+fn contract_batches() -> [(Problem, u64); 2] {
+    let n = 16;
+    let bands = WorkerPool::global().size().min(2 * n) as u64;
+    [(radial_problem(n, 480, 1), bands), (coil_problem(n, 3), 3)]
 }
 
 fn run_batch(
@@ -80,70 +100,85 @@ fn run_batch(
 
 /// Contract 1: with the fallback disabled, a fault at each pool-level
 /// site during `adjoint_batch_planned` returns `Err(Error::Execution)`
-/// — and the pool completes a clean identical run immediately after.
+/// — and the pool completes a clean identical run immediately after —
+/// in a coil job and in a row-band job alike.
 #[test]
 fn strict_mode_surfaces_execution_errors_and_pool_survives() {
     let _lock = test_guard();
     let _policy = PolicyGuard;
-    let (plan, coords, data) = coil_problem(16, 3);
-    let baseline = run_batch(&plan, &coords, &data).unwrap();
-
-    for site in [fault::ENGINE_DISPATCH, fault::NUFFT_COIL] {
-        set_serial_fallback(false);
-        arm(FaultPlan::once_at(site));
-        let err = run_batch(&plan, &coords, &data)
-            .expect_err(&format!("fault at {site} must surface in strict mode"));
-        assert!(
-            matches!(err, Error::Execution(_)),
-            "site {site}: expected Error::Execution, got {err:?}"
-        );
-        assert_eq!(fires(), 1, "site {site} must actually fire");
-        // The pool is not poisoned: a clean run on the same global pool
-        // reproduces the baseline bitwise.
-        disarm();
-        set_serial_fallback(true);
-        let again = run_batch(&plan, &coords, &data).unwrap();
-        for (a, b) in baseline.iter().zip(&again) {
-            assert!(bits_eq(a, b), "site {site}: post-failure run must match");
+    for ((plan, coords, data), _) in contract_batches() {
+        let coils = data.len();
+        let baseline = run_batch(&plan, &coords, &data).unwrap();
+        for site in [fault::ENGINE_DISPATCH, fault::NUFFT_COIL] {
+            set_serial_fallback(false);
+            arm(FaultPlan::once_at(site));
+            let err = run_batch(&plan, &coords, &data).expect_err(&format!(
+                "{coils} coil(s): fault at {site} must surface in strict mode"
+            ));
+            assert!(
+                matches!(err, Error::Execution(_)),
+                "{coils} coil(s), site {site}: expected Error::Execution, got {err:?}"
+            );
+            assert_eq!(
+                fires(),
+                1,
+                "{coils} coil(s): site {site} must actually fire"
+            );
+            // The pool is not poisoned: a clean run on the same global pool
+            // reproduces the baseline bitwise.
+            disarm();
+            set_serial_fallback(true);
+            let again = run_batch(&plan, &coords, &data).unwrap();
+            for (a, b) in baseline.iter().zip(&again) {
+                assert!(
+                    bits_eq(a, b),
+                    "{coils} coil(s), site {site}: post-failure run must match"
+                );
+            }
         }
     }
 }
 
 /// Contract 2: with the fallback enabled, a fault at each pool-level
-/// site degrades to a serial retry that is bitwise identical to the
-/// unfaulted pooled run and increments `engine.fallbacks`.
+/// site — in one job, or in every job of the dispatch — degrades to a
+/// serial retry that is bitwise identical to the unfaulted pooled run
+/// and counts once per call in `engine.fallbacks`, not once per failed
+/// job.
 #[test]
 fn fallback_output_is_bitwise_identical_and_counted() {
     let _lock = test_guard();
     let _policy = PolicyGuard;
     telemetry::set_enabled(true);
-    let (plan, coords, data) = coil_problem(16, 3);
-    let baseline = run_batch(&plan, &coords, &data).unwrap();
-
-    for site in [fault::ENGINE_DISPATCH, fault::NUFFT_COIL] {
-        let before = telemetry::global()
+    let fallbacks = || {
+        telemetry::global()
             .snapshot()
             .counter("engine.fallbacks")
-            .unwrap_or(0);
-        arm(FaultPlan::once_at(site));
-        let faulted = run_batch(&plan, &coords, &data)
-            .unwrap_or_else(|e| panic!("site {site}: fallback must absorb the fault: {e}"));
-        assert_eq!(fires(), 1, "site {site} must actually fire");
-        disarm();
-        for (a, b) in baseline.iter().zip(&faulted) {
-            assert!(
-                bits_eq(a, b),
-                "site {site}: serial fallback must be bitwise identical"
-            );
+            .unwrap_or(0)
+    };
+    for ((plan, coords, data), jobs) in contract_batches() {
+        let coils = data.len();
+        let baseline = run_batch(&plan, &coords, &data).unwrap();
+        for site in [fault::ENGINE_DISPATCH, fault::NUFFT_COIL] {
+            for faulted in [1, jobs] {
+                let what = format!("{coils} coil(s), site {site}, {faulted} faulted job(s)");
+                let before = fallbacks();
+                arm(FaultPlan {
+                    max_fires: faulted,
+                    ..FaultPlan::once_at(site)
+                });
+                let degraded = run_batch(&plan, &coords, &data)
+                    .unwrap_or_else(|e| panic!("{what}: fallback must absorb the fault: {e}"));
+                assert_eq!(fires(), faulted, "{what}: every armed fire must land");
+                disarm();
+                for (a, b) in baseline.iter().zip(&degraded) {
+                    assert!(
+                        bits_eq(a, b),
+                        "{what}: serial fallback must be bitwise identical"
+                    );
+                }
+                assert_eq!(fallbacks(), before + 1, "{what}: one fallback per call");
+            }
         }
-        let after = telemetry::global()
-            .snapshot()
-            .counter("engine.fallbacks")
-            .unwrap_or(0);
-        assert!(
-            after > before,
-            "site {site}: engine.fallbacks must increment ({before} → {after})"
-        );
     }
 }
 
