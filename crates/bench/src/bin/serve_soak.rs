@@ -467,7 +467,7 @@ fn main() {
     let restarted = ServeEngine::new(1);
     let (restored, restore_skipped) = restarted
         .cache()
-        .load_snapshot(&snap_path, &jigsaw_core::gridding::SerialGridder)
+        .load_snapshot(&snap_path)
         .expect("load snapshot");
     assert_eq!(restore_skipped, 0, "undamaged snapshot must restore fully");
     assert!(restored >= 1, "snapshot must carry the primed plan");

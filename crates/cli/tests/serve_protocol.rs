@@ -6,7 +6,9 @@
 //! handling, fault-injected job panics, and clean shutdown with exit 0.
 
 use jigsaw_core::gridding::SerialGridder;
-use jigsaw_core::serve::{ErrorCategory, Frame, JobRequest, Priority, ProtocolError, ServeClient};
+use jigsaw_core::serve::{
+    ErrorCategory, Frame, JobRequest, Priority, ProtocolError, ServeClient, ShedReason,
+};
 use jigsaw_core::{traj, NufftConfig, NufftPlan};
 use jigsaw_num::C64;
 use std::io::{Read, Write};
@@ -223,10 +225,16 @@ fn semantic_errors_keep_the_connection_open() {
     std::thread::sleep(Duration::from_millis(5));
     // (budget starts at submit; job of this size cannot finish in 1 ms
     // when an artificial queue wait is imposed by the sleep above —
-    // accept either outcome but require the tag to round-trip)
+    // accept either outcome but require the tag to round-trip. A job
+    // still queued when its budget runs out is shed with the daemon's
+    // expired-deadline reply.)
     match client.roundtrip(&starved).expect("roundtrip") {
         Frame::Error(e) => assert_eq!(e.tag, 32),
         Frame::Result(r) => assert_eq!(r.tag, 32),
+        Frame::Overloaded(o) => {
+            assert_eq!(o.tag, 32);
+            assert_eq!(o.reason, ShedReason::DeadlineExpired);
+        }
         other => panic!("unexpected frame {other:?}"),
     }
 
@@ -313,7 +321,6 @@ fn concurrent_clients_each_get_their_own_tagged_results() {
 
 #[test]
 fn drain_then_restart_serves_first_request_from_warm_cache() {
-    use jigsaw_core::serve::ShedReason;
     let snap = std::env::temp_dir().join(format!(
         "jigsaw-serve-test-restart-{}.snap",
         std::process::id()

@@ -54,6 +54,35 @@ impl KernelKind {
         }
     }
 
+    /// The family code and shape parameter (0 for parameterless
+    /// families). The plan-cache key and snapshot v1 files carry this
+    /// numbering, so it must never change.
+    pub fn code(&self) -> (u8, f64) {
+        match *self {
+            KernelKind::Auto => (0, 0.0),
+            KernelKind::KaiserBessel { beta } => (1, beta),
+            KernelKind::Gaussian { s } => (2, s),
+            KernelKind::Triangle => (3, 0.0),
+            KernelKind::Cosine => (4, 0.0),
+            KernelKind::BSpline => (5, 0.0),
+            KernelKind::Sinc => (6, 0.0),
+        }
+    }
+
+    /// Inverse of [`KernelKind::code`]; `None` for an unknown family code.
+    pub fn from_code(code: u8, param: f64) -> Option<KernelKind> {
+        Some(match code {
+            0 => KernelKind::Auto,
+            1 => KernelKind::KaiserBessel { beta: param },
+            2 => KernelKind::Gaussian { s: param },
+            3 => KernelKind::Triangle,
+            4 => KernelKind::Cosine,
+            5 => KernelKind::BSpline,
+            6 => KernelKind::Sinc,
+            _ => return None,
+        })
+    }
+
     /// Evaluate the window at centered offset `t` (grid units). Returns 0
     /// outside the support `|t| > W/2`.
     pub fn eval(&self, t: f64, w: usize) -> f64 {
@@ -184,6 +213,25 @@ mod tests {
             (KernelKind::BSpline, 8),
             (KernelKind::Sinc, 6),
         ]
+    }
+
+    #[test]
+    fn family_codes_are_stable_and_invert() {
+        let families = [
+            (KernelKind::Auto, 0),
+            (KernelKind::KaiserBessel { beta: 8.0 }, 1),
+            (KernelKind::Gaussian { s: 0.6 }, 2),
+            (KernelKind::Triangle, 3),
+            (KernelKind::Cosine, 4),
+            (KernelKind::BSpline, 5),
+            (KernelKind::Sinc, 6),
+        ];
+        for (k, want) in families {
+            let (code, param) = k.code();
+            assert_eq!(code, want, "{k:?}");
+            assert_eq!(KernelKind::from_code(code, param), Some(k));
+        }
+        assert_eq!(KernelKind::from_code(7, 0.0), None);
     }
 
     #[test]

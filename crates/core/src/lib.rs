@@ -72,7 +72,6 @@ pub mod serve;
 pub mod stats;
 pub mod toeplitz;
 pub mod traj;
-pub mod type3;
 
 pub use config::{GridParams, NufftConfig};
 pub use kernel::KernelKind;

@@ -145,8 +145,8 @@ pub enum NormalOp<'a, const D: usize> {
         /// Optional density weights (empty = uniform).
         weights: &'a [f64],
     },
-    /// Precomputed Toeplitz embedding (two FFTs, no gridding). Shared
-    /// (`Arc`) so serve-cached kernels plug in directly.
+    /// Precomputed Toeplitz embedding (two FFTs, no gridding), shared
+    /// as [`ToeplitzOperator::build_degradable`] returns it.
     Toeplitz(Arc<ToeplitzOperator<D>>),
 }
 

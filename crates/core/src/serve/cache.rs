@@ -15,34 +15,25 @@
 //! `f64` bit pattern, not just the sample count — together with every
 //! parameter that shapes the planning output: grid size, kernel width,
 //! table oversampling, tile, oversampling factor, and the resolved
-//! kernel (family + shape parameter bits). Two spellings of the same
-//! kernel (`Auto` vs. its resolved Kaiser-Bessel) share one entry.
+//! kernel (family code + shape parameter bits,
+//! [`KernelKind::code`](crate::kernel::KernelKind::code)). Two spellings
+//! of the same kernel (`Auto` vs. its resolved Kaiser-Bessel) share one
+//! entry.
 //!
 //! The key only hashes the trajectory, so a hit is verified: the entry's
-//! stored coordinates (and, for Toeplitz kernels, its density weights)
-//! must equal the request's bit for bit, or the lookup counts as a miss
-//! and the rebuilt entry replaces the resident one. Two same-shape
-//! trajectories with different coordinates therefore never share a
-//! plan, and a `trajectory_hash` collision costs a rebuild, never a
-//! wrong image. That is why [`trajectory_hash`] can be cheap: it takes
-//! one FNV-1a step per 8-byte coordinate word, and it runs on every
-//! served request, hit or miss. Snapshots store rebuild inputs, not
-//! keys, so the hash can change without touching the snapshot format.
-//!
-//! Toeplitz normal-operator kernels are cached in the same LRU (see
-//! [`PlanCache::get_or_build_toeplitz`]): their keys carry the doubled
-//! (`2N`) geometry **plus** an FNV hash of the density weights
-//! ([`weights_hash`], never the [`WEIGHT_INDEPENDENT`] sentinel plan
-//! entries use), so weighted and unweighted kernels — even ones whose
-//! weights differ by a single ULP — never alias each other or a plain
-//! `2N` plan.
+//! stored coordinates must equal the request's bit for bit, or the
+//! lookup counts as a miss and the rebuilt entry replaces the resident
+//! one. Two same-shape trajectories with different coordinates therefore
+//! never share a plan, and a `trajectory_hash` collision costs a
+//! rebuild, never a wrong image. That is why [`trajectory_hash`] can be
+//! cheap: it takes one FNV-1a step per 8-byte coordinate word, and it
+//! runs on every served request, hit or miss. Snapshots store rebuild
+//! inputs, not keys, so the hash can change without touching the
+//! snapshot format.
 
 use crate::config::NufftConfig;
-use crate::gridding::Gridder;
-use crate::kernel::KernelKind;
 use crate::nufft::{NufftPlan, PlannedTrajectory};
 use crate::serve::snapshot;
-use crate::toeplitz::ToeplitzOperator;
 use crate::Result;
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::faultpoint;
@@ -65,37 +56,21 @@ pub struct PlanKey {
     pub tile: usize,
     /// `σ` as IEEE-754 bits (bitwise equality, no float comparison).
     pub sigma_bits: u64,
-    /// Resolved-kernel fingerprint: family discriminant mixed with the
-    /// shape parameter's bit pattern.
-    pub kernel_fp: u64,
+    /// Resolved kernel's family code
+    /// ([`KernelKind::code`](crate::kernel::KernelKind::code)).
+    pub kernel_code: u8,
+    /// Resolved kernel's shape parameter as IEEE-754 bits (0 for
+    /// parameterless families).
+    pub kernel_param_bits: u64,
     /// Number of trajectory samples.
     pub samples: usize,
     /// Word-wise FNV-1a hash of every coordinate's bit pattern (see
     /// [`trajectory_hash`]).
     pub traj_hash: u64,
-    /// Density-weights hash: [`WEIGHT_INDEPENDENT`] (zero) for plan
-    /// entries (planning never depends on weights), [`weights_hash`]
-    /// (never zero) for Toeplitz kernel entries — so a kernel can never
-    /// alias a plan or a differently-weighted kernel.
-    pub weights_hash: u64,
 }
-
-/// The [`PlanKey::weights_hash`] sentinel for entries whose artifact
-/// does not depend on density weights (plans). [`weights_hash`] never
-/// returns it.
-pub const WEIGHT_INDEPENDENT: u64 = 0;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Word-wise FNV-1a over the sample count and every coordinate's `f64`
 /// bit pattern, in order: one xor-multiply step per 8-byte word, not
@@ -116,41 +91,11 @@ pub fn trajectory_hash(coords: &[[f64; 2]]) -> u64 {
         })
 }
 
-/// Fingerprint of a *resolved* kernel: family discriminant mixed with
-/// the shape parameter's bits (0 for parameterless families).
-pub fn kernel_fingerprint(kernel: &KernelKind) -> u64 {
-    let (disc, param) = match kernel {
-        KernelKind::Auto => (0u64, 0.0),
-        KernelKind::KaiserBessel { beta } => (1, *beta),
-        KernelKind::Gaussian { s } => (2, *s),
-        KernelKind::Triangle => (3, 0.0),
-        KernelKind::Cosine => (4, 0.0),
-        KernelKind::BSpline => (5, 0.0),
-        KernelKind::Sinc => (6, 0.0),
-    };
-    let mut h = fnv1a(FNV_OFFSET, &disc.to_le_bytes());
-    h = fnv1a(h, &param.to_bits().to_le_bytes());
-    h
-}
-
-/// FNV-1a over the weight count and every density weight's `f64` bit
-/// pattern, in order — the Toeplitz-kernel analogue of
-/// [`trajectory_hash`]. A 1-ULP perturbation of any weight changes the
-/// hash. Never returns [`WEIGHT_INDEPENDENT`]: the astronomically rare
-/// zero output is remapped to 1 so kernel entries can never alias plan
-/// entries by construction.
-pub fn weights_hash(weights: &[f64]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(weights.len() as u64).to_le_bytes());
-    for w in weights {
-        h = fnv1a(h, &w.to_bits().to_le_bytes());
-    }
-    h.max(1)
-}
-
 /// Build the cache key for a configuration + trajectory pair. The kernel
 /// is resolved first, so `Auto` and its explicit Beatty Kaiser-Bessel
 /// land on the same entry.
 pub fn plan_key(cfg: &NufftConfig, coords: &[[f64; 2]]) -> PlanKey {
+    let (kernel_code, param) = cfg.resolved_kernel().code();
     PlanKey {
         n: cfg.n,
         grid: cfg.grid_size(),
@@ -158,66 +103,40 @@ pub fn plan_key(cfg: &NufftConfig, coords: &[[f64; 2]]) -> PlanKey {
         table_oversampling: cfg.table_oversampling,
         tile: cfg.tile,
         sigma_bits: cfg.sigma.to_bits(),
-        kernel_fp: kernel_fingerprint(&cfg.resolved_kernel()),
+        kernel_code,
+        kernel_param_bits: param.to_bits(),
         samples: coords.len(),
         traj_hash: trajectory_hash(coords),
-        weights_hash: WEIGHT_INDEPENDENT,
     }
-}
-
-/// Build the cache key for a Toeplitz kernel: the geometry of the
-/// *doubled* (`2N`) configuration the kernel's PSF is gridded at, plus
-/// the density-weights hash (empty weights hash to a distinct, nonzero
-/// value — unweighted kernels are still kernels, not plans).
-pub fn toeplitz_key(cfg: &NufftConfig, coords: &[[f64; 2]], weights: &[f64]) -> PlanKey {
-    let mut cfg2 = cfg.clone();
-    cfg2.n = 2 * cfg.n;
-    let mut key = plan_key(&cfg2, coords);
-    key.weights_hash = weights_hash(weights);
-    key
 }
 
 /// A cached plan: the `NufftPlan` (LUT, apodization, FFT setup) plus the
 /// planned per-sample window decomposition for one trajectory.
 ///
-/// Each entry also retains its **rebuild inputs** — the configuration
-/// it was requested under plus the original coordinates and weights —
-/// so [`PlanCache::save_snapshot`] can persist the cache across process
-/// lifetimes (see [`crate::serve::snapshot`]). The inputs are shared
-/// `Arc` slices: one extra allocation per entry, no per-job copies.
+/// Each entry also keeps its original coordinates: hits are verified
+/// against them, and with the plan's configuration they are the
+/// **rebuild inputs** [`PlanCache::save_snapshot`] persists across
+/// process lifetimes (see [`crate::serve::snapshot`]). They are a
+/// shared `Arc` slice: one extra allocation per entry, no per-job
+/// copies.
 pub struct CachedPlan {
     /// The key this entry was stored under.
     pub key: PlanKey,
-    /// The configuration the entry was *requested* under (base `N` for
-    /// Toeplitz kernel entries, even though [`Self::plan`] is the `2N`
-    /// plan).
-    pub cfg: NufftConfig,
-    /// The NuFFT plan (f64, 2-D at serving v1). For Toeplitz kernel
-    /// entries this is the shared `2N` plan the kernel was built on.
+    /// The NuFFT plan (f64, 2-D at serving v1), built from the
+    /// configuration the entry was requested under.
     pub plan: NufftPlan<f64, 2>,
     /// The precomputed window decomposition.
     pub traj: PlannedTrajectory<2>,
     /// Original trajectory coordinates (snapshot rebuild input).
     pub coords: Arc<[[f64; 2]]>,
-    /// Density weights (empty for plan entries; snapshot rebuild
-    /// input for Toeplitz kernel entries).
-    pub weights: Arc<[f64]>,
-    /// The built Toeplitz normal-operator kernel, for entries created by
-    /// [`PlanCache::get_or_build_toeplitz`]; `None` for plain plans.
-    pub toeplitz: Option<Arc<ToeplitzOperator<2>>>,
 }
 
 impl CachedPlan {
-    /// Whether this entry was built from exactly `coords` and `weights`,
-    /// bit for bit.
-    fn built_from(&self, coords: &[[f64; 2]], weights: &[f64]) -> bool {
-        same_bits(self.coords.as_flattened(), coords.as_flattened())
-            && same_bits(&self.weights, weights)
+    /// Whether this entry was built from exactly `coords`, bit for bit.
+    fn built_from(&self, coords: &[[f64; 2]]) -> bool {
+        let (a, b) = (self.coords.as_flattened(), coords.as_flattened());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
-}
-
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl std::fmt::Debug for CachedPlan {
@@ -350,10 +269,10 @@ impl PlanCache {
 
     /// Insert an entry at the most-recently-used position, evicting the
     /// least recently used entries beyond capacity. If the key is
-    /// already resident and built from the same coordinates and weights
-    /// (a racing build on another thread won), the resident entry is
-    /// kept and returned so all callers share one canonical plan. A
-    /// resident entry built from other inputs under the same key (a hash
+    /// already resident and built from the same coordinates (a racing
+    /// build on another thread won), the resident entry is kept and
+    /// returned so all callers share one canonical plan. A resident
+    /// entry built from other coordinates under the same key (a hash
     /// collision) is replaced.
     pub fn insert(&self, entry: Arc<CachedPlan>) -> Arc<CachedPlan> {
         let mut evicted = 0u64;
@@ -364,7 +283,7 @@ impl PlanCache {
                 let Some(existing) = entries.remove(i) else {
                     return entry;
                 };
-                canonical = if existing.built_from(&entry.coords, &entry.weights) {
+                canonical = if existing.built_from(&entry.coords) {
                     existing
                 } else {
                     entry
@@ -406,7 +325,7 @@ impl PlanCache {
     ) -> Result<(Arc<CachedPlan>, bool)> {
         faultpoint!(crate::fault::SERVE_CACHE);
         let key = plan_key(cfg, coords);
-        if let Some(hit) = self.lookup_verified(&key, |e| e.built_from(coords, &[])) {
+        if let Some(hit) = self.lookup_verified(&key, |e| e.built_from(coords)) {
             return Ok((hit, true));
         }
         // Build outside the lock: concurrent misses on the same key may
@@ -415,73 +334,11 @@ impl PlanCache {
         let traj = plan.plan_trajectory(coords)?;
         let entry = Arc::new(CachedPlan {
             key,
-            cfg: cfg.clone(),
             plan,
             traj,
             coords: coords.into(),
-            weights: Arc::from([] as [f64; 0]),
-            toeplitz: None,
         });
         Ok((self.insert(entry), false))
-    }
-
-    /// Return the cached Toeplitz normal-operator kernel for
-    /// `(cfg, coords, weights)`, building and inserting it on a miss.
-    /// The boolean is `true` on a cache hit, which requires the entry's
-    /// stored coordinates and weights to equal the request's bit for bit.
-    ///
-    /// A miss first fetches (or builds) the plain `2N` plan entry via
-    /// [`Self::get_or_build`] and hands that prebuilt plan to
-    /// [`ToeplitzOperator::build_with_plan`], so the expensive planning
-    /// work is shared with any direct `2N` jobs and never done twice.
-    /// The kernel entry is keyed by [`toeplitz_key`] — including the
-    /// density-weights hash, so weighted and unweighted kernels on the
-    /// same trajectory occupy distinct entries.
-    pub fn get_or_build_toeplitz(
-        &self,
-        cfg: &NufftConfig,
-        coords: &[[f64; 2]],
-        weights: &[f64],
-        gridder: &dyn Gridder<f64, 2>,
-    ) -> Result<(Arc<ToeplitzOperator<2>>, bool)> {
-        // Validate weights before touching the cache at all: a doomed
-        // request must not leave even the (weight-independent) base
-        // plan behind as a side effect.
-        if let Some(i) = weights.iter().position(|w| !w.is_finite()) {
-            return Err(crate::Error::Data(format!(
-                "non-finite density weight at index {i}"
-            )));
-        }
-        let key = toeplitz_key(cfg, coords, weights);
-        if let Some(hit) = self.lookup_verified(&key, |e| e.built_from(coords, weights)) {
-            if let Some(op) = &hit.toeplitz {
-                return Ok((Arc::clone(op), true));
-            }
-        }
-        let mut cfg2 = cfg.clone();
-        cfg2.n = 2 * cfg.n;
-        let (base, _) = self.get_or_build(&cfg2, coords)?;
-        let op = Arc::new(ToeplitzOperator::<2>::build_with_plan(
-            cfg,
-            coords,
-            weights,
-            gridder,
-            Some(&base.plan),
-        )?);
-        let entry = Arc::new(CachedPlan {
-            key,
-            cfg: cfg.clone(),
-            plan: base.plan.clone(),
-            traj: base.traj.clone(),
-            coords: Arc::clone(&base.coords),
-            weights: weights.into(),
-            toeplitz: Some(Arc::clone(&op)),
-        });
-        let canonical = self.insert(entry);
-        // A racing build on another thread may have inserted first; the
-        // canonical entry's kernel is the one every caller shares.
-        let op = canonical.toeplitz.clone().unwrap_or(op);
-        Ok((op, false))
     }
 
     /// Persist every resident entry's rebuild inputs to `path`
@@ -503,14 +360,8 @@ impl PlanCache {
         let snap: Vec<snapshot::SnapshotEntry> = resident
             .iter()
             .map(|e| snapshot::SnapshotEntry {
-                kind: if e.toeplitz.is_some() {
-                    snapshot::ENTRY_TOEPLITZ
-                } else {
-                    snapshot::ENTRY_PLAN
-                },
-                cfg: e.cfg.clone(),
+                cfg: e.plan.config().clone(),
                 coords: Arc::clone(&e.coords),
-                weights: Arc::clone(&e.weights),
             })
             .collect();
         let bytes = snapshot::encode_snapshot(&snap);
@@ -529,16 +380,13 @@ impl PlanCache {
     /// * missing file → `Ok((0, 0))` — a first boot, not an error;
     /// * unreadable file, garbage/short header, or unsupported version
     ///   → `Err` — the caller logs it and serves cold;
-    /// * per-entry damage (checksum, framing, implausible fields) or a
-    ///   rebuild failure/panic → that entry is skipped, the rest load.
+    /// * per-entry damage (checksum, framing, implausible fields), an
+    ///   entry that is not a plan, or a rebuild failure/panic → that
+    ///   entry is skipped, the rest load.
     ///
     /// The `serve.snapshot` fault site fires at entry, before the file
     /// is touched, so chaos runs can pin the degraded-start path.
-    pub fn load_snapshot(
-        &self,
-        path: &std::path::Path,
-        gridder: &dyn Gridder<f64, 2>,
-    ) -> Result<(u64, u64)> {
+    pub fn load_snapshot(&self, path: &std::path::Path) -> Result<(u64, u64)> {
         faultpoint!(crate::fault::SERVE_SNAPSHOT);
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
@@ -564,15 +412,11 @@ impl PlanCache {
             // Each rebuild replays the normal build path (validation
             // included) under panic containment: one poisoned entry
             // must not take down the warm start.
-            let rebuilt =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match entry.kind {
-                    snapshot::ENTRY_TOEPLITZ => self
-                        .get_or_build_toeplitz(&entry.cfg, &entry.coords, &entry.weights, gridder)
-                        .map(|_| ()),
-                    _ => self.get_or_build(&entry.cfg, &entry.coords).map(|_| ()),
-                }));
+            let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.get_or_build(&entry.cfg, &entry.coords)
+            }));
             match rebuilt {
-                Ok(Ok(())) => loaded += 1,
+                Ok(Ok(_)) => loaded += 1,
                 _ => skipped += 1,
             }
         }
@@ -589,6 +433,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelKind;
 
     fn traj(seed: u64, m: usize) -> Vec<[f64; 2]> {
         crate::traj::random_nd::<2>(m, seed)
@@ -679,12 +524,9 @@ mod tests {
             let traj = plan.plan_trajectory(&t).unwrap();
             Arc::new(CachedPlan {
                 key: key.clone(),
-                cfg: c.clone(),
                 plan,
                 traj,
                 coords: t.as_slice().into(),
-                weights: Arc::from([] as [f64; 0]),
-                toeplitz: None,
             })
         };
         let first = cache.insert(build());
@@ -694,92 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn toeplitz_hits_verify_weights() {
-        let cache = PlanCache::new(4);
-        let t = traj(13, 24);
-        let c = cfg(8);
-        let g = crate::gridding::SerialGridder;
-        let (plain, _) = cache.get_or_build_toeplitz(&c, &t, &[], &g).unwrap();
-        // File the unweighted kernel under the weighted key, as a
-        // `weights_hash` collision would.
-        let w = vec![0.5; t.len()];
-        let Some(e) = cache.lookup(&toeplitz_key(&c, &t, &[])) else {
-            panic!("unweighted kernel entry must be resident");
-        };
-        cache.insert(Arc::new(CachedPlan {
-            key: toeplitz_key(&c, &t, &w),
-            cfg: e.cfg.clone(),
-            plan: e.plan.clone(),
-            traj: e.traj.clone(),
-            coords: Arc::clone(&e.coords),
-            weights: Arc::clone(&e.weights),
-            toeplitz: e.toeplitz.clone(),
-        }));
-        let (weighted, hit) = cache.get_or_build_toeplitz(&c, &t, &w, &g).unwrap();
-        assert!(
-            !hit,
-            "an unweighted kernel must not serve weighted requests"
-        );
-        assert!(!Arc::ptr_eq(&plain, &weighted));
-        let (again, hit) = cache.get_or_build_toeplitz(&c, &t, &w, &g).unwrap();
-        assert!(hit, "the rebuilt kernel replaced the impostor");
-        assert!(Arc::ptr_eq(&weighted, &again));
-        assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
     fn capacity_is_clamped_positive() {
         assert_eq!(PlanCache::new(0).capacity(), 1);
-    }
-
-    #[test]
-    fn weights_hash_is_content_sensitive_and_never_the_sentinel() {
-        assert_ne!(weights_hash(&[]), WEIGHT_INDEPENDENT);
-        assert_ne!(weights_hash(&[1.0, 2.0]), weights_hash(&[2.0, 1.0]));
-        assert_eq!(weights_hash(&[0.5; 8]), weights_hash(&[0.5; 8]));
-        // A 1-ULP perturbation of one weight changes the hash.
-        let w: Vec<f64> = (0..16).map(|i| 0.25 + i as f64 * 0.125).collect();
-        let mut w2 = w.clone();
-        w2[7] = f64::from_bits(w2[7].to_bits() + 1);
-        assert_ne!(weights_hash(&w), weights_hash(&w2));
-    }
-
-    #[test]
-    fn toeplitz_keys_never_alias_plans_or_other_weights() {
-        let t = traj(9, 24);
-        let c = cfg(8);
-        let mut c2 = c.clone();
-        c2.n = 16;
-        // Unweighted kernel vs the plain 2N plan on the same trajectory:
-        // same geometry, different weights_hash class.
-        assert_ne!(toeplitz_key(&c, &t, &[]), plan_key(&c2, &t));
-        // Weighted vs unweighted kernels key apart.
-        let w = vec![0.75; t.len()];
-        assert_ne!(toeplitz_key(&c, &t, &w), toeplitz_key(&c, &t, &[]));
-        // Same weights, same key.
-        assert_eq!(toeplitz_key(&c, &t, &w), toeplitz_key(&c, &t, &w.clone()));
-    }
-
-    #[test]
-    fn toeplitz_kernels_are_cached_and_shared() {
-        let cache = PlanCache::new(4);
-        let t = traj(11, 24);
-        let c = cfg(8);
-        let g = crate::gridding::SerialGridder;
-        let (a, hit_a) = cache.get_or_build_toeplitz(&c, &t, &[], &g).unwrap();
-        assert!(!hit_a);
-        // The miss also parked the base 2N plan entry.
-        assert_eq!(cache.len(), 2);
-        let (b, hit_b) = cache.get_or_build_toeplitz(&c, &t, &[], &g).unwrap();
-        assert!(hit_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 2);
-        // A weighted kernel on the same trajectory is a distinct entry
-        // but reuses the cached 2N plan.
-        let w = vec![1.5; t.len()];
-        let (wk, hit_w) = cache.get_or_build_toeplitz(&c, &t, &w, &g).unwrap();
-        assert!(!hit_w);
-        assert!(!Arc::ptr_eq(&a, &wk));
-        assert_eq!(cache.len(), 3);
     }
 }

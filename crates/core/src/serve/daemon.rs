@@ -565,11 +565,7 @@ impl Daemon {
 /// `serve.snapshot.load_failures` / `serve.snapshot.panics`
 /// accounting. The warm path logs its `loaded/skipped` split.
 fn load_snapshot_contained(engine: &ServeEngine, path: &Path) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        engine
-            .cache()
-            .load_snapshot(path, &crate::gridding::SerialGridder)
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| engine.cache().load_snapshot(path)));
     match outcome {
         Ok(Ok((0, 0))) => {}
         Ok(Ok((loaded, skipped))) => {

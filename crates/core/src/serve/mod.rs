@@ -73,9 +73,7 @@ pub mod protocol;
 pub mod snapshot;
 pub mod stats;
 
-pub use cache::{
-    plan_key, toeplitz_key, trajectory_hash, weights_hash, CachedPlan, PlanCache, PlanKey,
-};
+pub use cache::{plan_key, trajectory_hash, CachedPlan, PlanCache, PlanKey};
 pub use client::{RetryPolicy, ServeClient};
 pub use daemon::{serve_stdio, serve_stream, serve_unix, ServeOptions, DAEMON_ID_BIT};
 pub use engine::ServeEngine;

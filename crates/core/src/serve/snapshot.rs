@@ -8,17 +8,15 @@
 //!
 //! ## What is persisted
 //!
-//! Not the built artifacts (LUTs, FFT twiddles, gridded Toeplitz
-//! kernels — large, layout-sensitive, and full of derived invariants)
-//! but the **rebuild inputs**: the [`NufftConfig`] plus the original
-//! trajectory coordinates and density weights of every resident entry.
-//! Loading replays [`super::PlanCache::get_or_build`] /
-//! [`super::PlanCache::get_or_build_toeplitz`] per entry, so a loaded
-//! entry is bit-identical to a freshly built one by construction, every
-//! existing validation path runs again at load time, and a snapshot
-//! written by an older build stays loadable as long as the inputs
-//! parse. The first identical post-restart request is then a genuine
-//! plan-cache hit.
+//! Not the built artifacts (LUTs, FFT twiddles — large,
+//! layout-sensitive, and full of derived invariants) but the **rebuild
+//! inputs**: the [`NufftConfig`] plus the original trajectory
+//! coordinates of every resident plan. Loading replays
+//! [`super::PlanCache::get_or_build`] per entry, so a loaded entry is
+//! bit-identical to a freshly built one by construction, every existing
+//! validation path runs again at load time, and a snapshot written by an
+//! older build stays loadable as long as the inputs parse. The first
+//! identical post-restart request is then a genuine plan-cache hit.
 //!
 //! ## Wire format (all little-endian)
 //!
@@ -29,13 +27,13 @@
 //! entries  count × {
 //!     body_len  u32
 //!     body      body_len bytes:
-//!         kind       u8   (1 = plan, 2 = Toeplitz kernel)
+//!         kind       u8   (1 = plan)
 //!         n          u64
 //!         sigma      u64  (f64 bits)
 //!         width      u64
 //!         table_os   u64
 //!         tile       u64
-//!         kernel     u8   (family discriminant, see `kernel_fingerprint`)
+//!         kernel     u8   (family code, see `KernelKind::code`)
 //!         kernel_par u64  (f64 bits of the shape parameter)
 //!         m          u32  (sample count)
 //!         coords     m × 2 × u64 (f64 bits, kx then ky)
@@ -45,6 +43,16 @@
 //! }
 //! file_checksum u64 (FNV-1a over everything above)
 //! ```
+//!
+//! Both checksums are FNV-1a with offset basis `0xcbf2_9ce4_8422_2325`
+//! and multiplier `0x1000_0000_01b3`, which is not the published 64-bit
+//! FNV prime (`0x100_0000_01b3`); v1 files carry it.
+//!
+//! Every entry written is a plan: kind 1, weight count 0. Earlier builds
+//! also wrote kind 2 entries (a precomputed operator kernel, with
+//! weights); the cache holds plans only, so the decoder skips any entry
+//! whose kind is not 1 or whose weight count is not 0, and a v1 file
+//! holding such entries still restores its plans.
 //!
 //! Entries are written least-recently-used **first**, so replaying the
 //! file in order and inserting at the MRU position reproduces the exact
@@ -75,13 +83,8 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"JGSP";
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Entry kind: a plain plan (config + trajectory).
-pub const ENTRY_PLAN: u8 = 1;
-
-/// Entry kind: a Toeplitz normal-operator kernel (config, trajectory,
-/// and density weights; the config is the *base* `N`, not the doubled
-/// grid).
-pub const ENTRY_TOEPLITZ: u8 = 2;
+/// Entry kind of a plan (config + trajectory), the only kind loaded.
+const ENTRY_PLAN: u8 = 1;
 
 /// Implausibility bound on the persisted grid size (the live protocol
 /// caps `n` at 2048; the snapshot bound leaves headroom without letting
@@ -115,18 +118,13 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The rebuild inputs of one cached entry.
+/// The rebuild inputs of one cached plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotEntry {
-    /// [`ENTRY_PLAN`] or [`ENTRY_TOEPLITZ`].
-    pub kind: u8,
-    /// The configuration the entry was built from (base `N` for
-    /// Toeplitz entries).
+    /// The configuration the plan was built from.
     pub cfg: NufftConfig,
     /// Original (pre-wrap) trajectory coordinates.
     pub coords: Arc<[[f64; 2]]>,
-    /// Density weights (empty for plan entries and unweighted kernels).
-    pub weights: Arc<[f64]>,
 }
 
 /// What [`decode_snapshot`] recovered from a byte buffer.
@@ -143,50 +141,23 @@ pub struct DecodeOutcome {
     pub file_checksum_ok: bool,
 }
 
-fn kernel_disc(kernel: &KernelKind) -> (u8, f64) {
-    match kernel {
-        KernelKind::Auto => (0, 0.0),
-        KernelKind::KaiserBessel { beta } => (1, *beta),
-        KernelKind::Gaussian { s } => (2, *s),
-        KernelKind::Triangle => (3, 0.0),
-        KernelKind::Cosine => (4, 0.0),
-        KernelKind::BSpline => (5, 0.0),
-        KernelKind::Sinc => (6, 0.0),
-    }
-}
-
-fn kernel_from_disc(disc: u8, param: f64) -> Option<KernelKind> {
-    Some(match disc {
-        0 => KernelKind::Auto,
-        1 => KernelKind::KaiserBessel { beta: param },
-        2 => KernelKind::Gaussian { s: param },
-        3 => KernelKind::Triangle,
-        4 => KernelKind::Cosine,
-        5 => KernelKind::BSpline,
-        6 => KernelKind::Sinc,
-        _ => return None,
-    })
-}
-
 fn encode_entry_body(entry: &SnapshotEntry, out: &mut Vec<u8>) {
-    out.push(entry.kind);
+    out.push(ENTRY_PLAN);
     out.extend_from_slice(&(entry.cfg.n as u64).to_le_bytes());
     out.extend_from_slice(&entry.cfg.sigma.to_bits().to_le_bytes());
     out.extend_from_slice(&(entry.cfg.width as u64).to_le_bytes());
     out.extend_from_slice(&(entry.cfg.table_oversampling as u64).to_le_bytes());
     out.extend_from_slice(&(entry.cfg.tile as u64).to_le_bytes());
-    let (disc, param) = kernel_disc(&entry.cfg.kernel);
-    out.push(disc);
+    let (code, param) = entry.cfg.kernel.code();
+    out.push(code);
     out.extend_from_slice(&param.to_bits().to_le_bytes());
     out.extend_from_slice(&(entry.coords.len() as u32).to_le_bytes());
     for c in entry.coords.iter() {
         out.extend_from_slice(&c[0].to_bits().to_le_bytes());
         out.extend_from_slice(&c[1].to_bits().to_le_bytes());
     }
-    out.extend_from_slice(&(entry.weights.len() as u32).to_le_bytes());
-    for w in entry.weights.iter() {
-        out.extend_from_slice(&w.to_bits().to_le_bytes());
-    }
+    // Weight count: plans carry none.
+    out.extend_from_slice(&0u32.to_le_bytes());
 }
 
 /// Serialize a snapshot. Entries must already be in LRU-first order.
@@ -255,12 +226,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Parse one entry body. `None` means the entry is damaged or
-/// implausible and must be skipped.
+/// Parse one entry body. `None` means the entry is damaged,
+/// implausible, or not a plan, and must be skipped.
 fn decode_entry_body(body: &[u8]) -> Option<SnapshotEntry> {
     let mut c = Cursor::new(body);
-    let kind = c.u8()?;
-    if kind != ENTRY_PLAN && kind != ENTRY_TOEPLITZ {
+    if c.u8()? != ENTRY_PLAN {
         return None;
     }
     let n = c.u64()?;
@@ -282,7 +252,7 @@ fn decode_entry_body(body: &[u8]) -> Option<SnapshotEntry> {
     if tile == 0 || tile > 4096 {
         return None;
     }
-    let kernel = kernel_from_disc(disc, param)?;
+    let kernel = KernelKind::from_code(disc, param)?;
     let m = c.u32()? as u64;
     if m == 0 || m > MAX_SNAPSHOT_SAMPLES {
         return None;
@@ -295,22 +265,11 @@ fn decode_entry_body(body: &[u8]) -> Option<SnapshotEntry> {
         let ky = c.f64_bits()?;
         coords.push([kx, ky]);
     }
-    let w = c.u32()? as u64;
-    if w != 0 && w != m {
-        return None;
-    }
-    if kind == ENTRY_PLAN && w != 0 {
-        return None;
-    }
-    let mut weights = Vec::with_capacity(w as usize);
-    for _ in 0..w {
-        weights.push(c.f64_bits()?);
-    }
-    if !c.exhausted() {
+    // Plans carry no weights.
+    if c.u32()? != 0 || !c.exhausted() {
         return None;
     }
     Some(SnapshotEntry {
-        kind,
         cfg: NufftConfig {
             n: n as usize,
             sigma,
@@ -320,7 +279,6 @@ fn decode_entry_body(body: &[u8]) -> Option<SnapshotEntry> {
             kernel,
         },
         coords: coords.into(),
-        weights: weights.into(),
     })
 }
 
@@ -425,45 +383,120 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::cache::{plan_key, PlanCache};
 
-    fn entry(seed: u64, m: usize, kind: u8) -> SnapshotEntry {
-        let coords = crate::traj::random_nd::<2>(m, seed);
-        let weights: Vec<f64> = if kind == ENTRY_TOEPLITZ {
-            (0..m).map(|i| 0.5 + i as f64 * 0.125).collect()
-        } else {
-            Vec::new()
-        };
+    fn entry(seed: u64, m: usize) -> SnapshotEntry {
         SnapshotEntry {
-            kind,
             cfg: NufftConfig::with_n(16),
-            coords: coords.into(),
-            weights: weights.into(),
+            coords: crate::traj::random_nd::<2>(m, seed).into(),
         }
+    }
+
+    fn le(bits: u64) -> [u8; 8] {
+        bits.to_le_bytes()
+    }
+
+    /// `entry`'s body re-tagged as `kind` and carrying `weights`, the
+    /// way earlier builds wrote kind-2 entries.
+    fn body_with(entry: &SnapshotEntry, kind: u8, weights: &[f64]) -> Vec<u8> {
+        let mut body = Vec::new();
+        encode_entry_body(entry, &mut body);
+        body[0] = kind;
+        body.truncate(body.len() - 4);
+        body.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+        for w in weights {
+            body.extend_from_slice(&le(w.to_bits()));
+        }
+        body
+    }
+
+    /// A v1 file framing `bodies`, each with its checksum.
+    fn v1_file(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&(bodies.len() as u32).to_le_bytes());
+        for body in bodies {
+            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            out.extend_from_slice(body);
+            out.extend_from_slice(&le(fnv1a(FNV_OFFSET, body)));
+        }
+        let sum = fnv1a(FNV_OFFSET, &out);
+        out.extend_from_slice(&le(sum));
+        out
+    }
+
+    #[test]
+    fn plan_entry_bytes_follow_the_layout_table() {
+        let plan = SnapshotEntry {
+            cfg: NufftConfig::with_n(16),
+            coords: vec![[0.25, -0.5], [1.5, -0.0]].into(),
+        };
+        let mut body = vec![1]; // kind: plan
+        body.extend_from_slice(&[16, 0, 0, 0, 0, 0, 0, 0]); // n
+        body.extend_from_slice(&le(0x4000_0000_0000_0000)); // sigma 2.0
+        body.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0]); // width
+        body.extend_from_slice(&[32, 0, 0, 0, 0, 0, 0, 0]); // table_os
+        body.extend_from_slice(&[8, 0, 0, 0, 0, 0, 0, 0]); // tile
+        body.push(0); // kernel: Auto
+        body.extend_from_slice(&le(0)); // kernel_par
+        body.extend_from_slice(&[2, 0, 0, 0]); // m
+        for b in [
+            0x3FD0_0000_0000_0000, // 0.25
+            0xBFE0_0000_0000_0000, // -0.5
+            0x3FF8_0000_0000_0000, // 1.5
+            0x8000_0000_0000_0000, // -0.0
+        ] {
+            body.extend_from_slice(&le(b));
+        }
+        body.extend_from_slice(&[0, 0, 0, 0]); // w
+        assert_eq!(body.len(), 90);
+
+        let mut want = vec![b'J', b'G', b'S', b'P', 1, 0, 0, 0, 1, 0, 0, 0];
+        want.extend_from_slice(&[90, 0, 0, 0]); // body_len
+        want.extend_from_slice(&body);
+        want.extend_from_slice(&le(0x6F6F_2332_994D_BC01)); // checksum
+        want.extend_from_slice(&le(0x0B9A_682B_71FE_B9B1)); // file_checksum
+        assert_eq!(encode_snapshot(&[plan]), want);
     }
 
     #[test]
     fn round_trip_is_bitwise() {
-        let entries = vec![
-            entry(1, 24, ENTRY_PLAN),
-            entry(3, 8, ENTRY_TOEPLITZ),
-            entry(5, 1, ENTRY_PLAN),
-        ];
+        let entries = vec![entry(1, 24), entry(3, 8), entry(5, 1)];
         let bytes = encode_snapshot(&entries);
         let out = decode_snapshot(&bytes).unwrap();
         assert_eq!(out.skipped, 0);
         assert!(out.file_checksum_ok);
         assert_eq!(out.entries.len(), entries.len());
         for (a, b) in out.entries.iter().zip(&entries) {
-            assert_eq!(a.kind, b.kind);
             assert_eq!(a.cfg, b.cfg);
             for (ca, cb) in a.coords.iter().zip(b.coords.iter()) {
                 assert_eq!(ca[0].to_bits(), cb[0].to_bits());
                 assert_eq!(ca[1].to_bits(), cb[1].to_bits());
             }
-            for (wa, wb) in a.weights.iter().zip(b.weights.iter()) {
-                assert_eq!(wa.to_bits(), wb.to_bits());
-            }
         }
+    }
+
+    #[test]
+    fn v1_kernel_entries_are_skipped_and_plans_restore_in_lru_order() {
+        let (a, kernel, b) = (entry(1, 12), entry(3, 8), entry(5, 10));
+        let weights: Vec<f64> = (0..8).map(|i| 0.5 + i as f64 * 0.125).collect();
+        let bytes = v1_file(&[
+            body_with(&a, ENTRY_PLAN, &[]),
+            body_with(&kernel, 2, &weights),
+            body_with(&b, ENTRY_PLAN, &[]),
+        ]);
+        let path =
+            std::env::temp_dir().join(format!("jigsaw-snap-v1-kernels-{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let cache = PlanCache::new(4);
+        let loaded = cache.load_snapshot(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.unwrap(), (2, 1));
+        assert_eq!(
+            cache.keys(),
+            vec![plan_key(&b.cfg, &b.coords), plan_key(&a.cfg, &a.coords)],
+            "most recently used first"
+        );
     }
 
     #[test]
@@ -482,7 +515,7 @@ mod tests {
         assert!(decode_snapshot(b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00").is_err());
         // Version bump: whole file refused with the declared count in
         // the message.
-        let mut bytes = encode_snapshot(&[entry(1, 4, ENTRY_PLAN)]);
+        let mut bytes = encode_snapshot(&[entry(1, 4)]);
         bytes[4] = 99;
         let err = decode_snapshot(&bytes).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
@@ -490,7 +523,7 @@ mod tests {
 
     #[test]
     fn flipped_body_bit_skips_only_that_entry() {
-        let entries = vec![entry(1, 16, ENTRY_PLAN), entry(3, 16, ENTRY_PLAN)];
+        let entries = vec![entry(1, 16), entry(3, 16)];
         let mut bytes = encode_snapshot(&entries);
         // Flip a bit inside the first entry's body (past the 12-byte
         // header and 4-byte body length).
@@ -508,7 +541,7 @@ mod tests {
 
     #[test]
     fn truncation_never_panics_and_counts_skips() {
-        let entries = vec![entry(1, 8, ENTRY_PLAN), entry(3, 8, ENTRY_TOEPLITZ)];
+        let entries = vec![entry(1, 8), entry(3, 8)];
         let bytes = encode_snapshot(&entries);
         for cut in 12..bytes.len() {
             let out = decode_snapshot(&bytes[..cut]).unwrap();
@@ -519,22 +552,21 @@ mod tests {
 
     #[test]
     fn implausible_fields_are_skipped() {
-        let mut e = entry(1, 4, ENTRY_PLAN);
+        let mut e = entry(1, 4);
         e.cfg.n = 1 << 20; // beyond MAX_SNAPSHOT_N
         let out = decode_snapshot(&encode_snapshot(&[e])).unwrap();
         assert_eq!(out.entries.len(), 0);
         assert_eq!(out.skipped, 1);
 
-        let mut e = entry(1, 4, ENTRY_PLAN);
+        let mut e = entry(1, 4);
         e.cfg.sigma = f64::NAN;
         let out = decode_snapshot(&encode_snapshot(&[e])).unwrap();
         assert_eq!(out.skipped, 1);
 
         // Plan entries must not carry weights.
-        let mut e = entry(1, 4, ENTRY_PLAN);
-        e.weights = vec![1.0; 4].into();
-        let out = decode_snapshot(&encode_snapshot(&[e])).unwrap();
-        assert_eq!(out.skipped, 1);
+        let bytes = v1_file(&[body_with(&entry(1, 4), ENTRY_PLAN, &[1.0; 4])]);
+        let out = decode_snapshot(&bytes).unwrap();
+        assert_eq!((out.entries.len(), out.skipped), (0, 1));
     }
 
     #[test]

@@ -65,19 +65,6 @@ impl GridStats {
         }
     }
 
-    /// Merge counters from a parallel worker (times take the max, counts
-    /// add — workers run concurrently).
-    pub fn merge_parallel(&mut self, other: &GridStats) {
-        self.samples += other.samples;
-        self.samples_processed += other.samples_processed;
-        self.boundary_checks += other.boundary_checks;
-        self.kernel_accumulations += other.kernel_accumulations;
-        self.presort_seconds = self.presort_seconds.max(other.presort_seconds);
-        self.gridding_seconds = self.gridding_seconds.max(other.gridding_seconds);
-        self.fft_seconds = self.fft_seconds.max(other.fft_seconds);
-        self.apod_seconds = self.apod_seconds.max(other.apod_seconds);
-    }
-
     /// Mirror these stats into the global telemetry registry under
     /// `grid.<engine>.*` (no-op when telemetry is disabled). Counts are
     /// added to counters bit-exactly; phase times are recorded as
@@ -127,36 +114,6 @@ mod tests {
         // Fig. 3a's example: 6 samples, 16 processed instances.
         assert!((s.duplication_factor() - 16.0 / 6.0).abs() < 1e-12);
         assert_eq!(GridStats::default().duplication_factor(), 1.0);
-    }
-
-    #[test]
-    fn merge_parallel_semantics() {
-        let mut a = GridStats {
-            samples: 10,
-            samples_processed: 10,
-            boundary_checks: 100,
-            kernel_accumulations: 360,
-            presort_seconds: 0.0,
-            gridding_seconds: 1.5,
-            fft_seconds: 0.1,
-            apod_seconds: 0.02,
-        };
-        let b = GridStats {
-            samples: 20,
-            samples_processed: 20,
-            boundary_checks: 200,
-            kernel_accumulations: 720,
-            presort_seconds: 0.0,
-            gridding_seconds: 2.0,
-            fft_seconds: 0.3,
-            apod_seconds: 0.01,
-        };
-        a.merge_parallel(&b);
-        assert_eq!(a.samples, 30);
-        assert_eq!(a.boundary_checks, 300);
-        assert_eq!(a.gridding_seconds, 2.0); // concurrent → max
-        assert_eq!(a.fft_seconds, 0.3);
-        assert_eq!(a.apod_seconds, 0.02); // max, not sum
     }
 
     #[test]

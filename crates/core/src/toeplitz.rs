@@ -33,11 +33,10 @@
 //!   precomputed at build time.
 //!
 //! Build-time robustness: the `recon.normal_op` fault site fires inside
-//! [`ToeplitzOperator::build_with_plan`], and
-//! [`ToeplitzOperator::build_degradable`] contains both injected panics
-//! and a non-finite PSF so reconstructions can fall back to the gridded
-//! normal operator (counted in `recon.normal_op_fallbacks`,
-//! flight-recorded).
+//! every build, and [`ToeplitzOperator::build_degradable`] contains both
+//! injected panics and a non-finite PSF so reconstructions can fall back
+//! to the gridded normal operator (counted in
+//! `recon.normal_op_fallbacks`, flight-recorded).
 
 use crate::config::NufftConfig;
 use crate::engine::{keys, WorkerPool};
@@ -104,9 +103,8 @@ impl<const D: usize> ToeplitzOperator<D> {
 
     /// Like [`Self::build`], but reusing a prebuilt NuFFT plan at the
     /// doubled image size `2N` (its configuration must equal `cfg` with
-    /// `n` doubled) instead of planning one internally and dropping it —
-    /// the serving layer hands one from its plan cache.
-    pub fn build_with_plan(
+    /// `n` doubled) instead of planning one internally and dropping it.
+    fn build_with_plan(
         cfg: &NufftConfig,
         coords: &[[f64; D]],
         weights: &[f64],
@@ -121,9 +119,8 @@ impl<const D: usize> ToeplitzOperator<D> {
             )));
         }
         // A non-finite density weight would propagate through the PSF
-        // into every entry of the embedded kernel spectrum — and the
-        // kernel is cacheable (and now snapshot-persistable), so the
-        // poison would outlive this call. Reject at the door, like
+        // into every entry of the embedded kernel spectrum, and so into
+        // every application of the operator. Reject at the door, like
         // planning rejects non-finite coordinates.
         if let Some(i) = weights.iter().position(|w| !w.is_finite()) {
             return Err(Error::Data(format!(
@@ -538,25 +535,6 @@ mod tests {
         for (xc, got) in coils.iter().zip(&batch) {
             assert!(bits_eq(got, &top.apply(xc).unwrap()));
         }
-        // A coil job that fails (here: an injected panic before its body
-        // runs) is recomputed on the calling thread, into its own coil's
-        // slot. A private pool starts the jobs at once, so the one fire
-        // lands on them.
-        let pool = WorkerPool::new(2);
-        let _lock = crate::fault::test_guard();
-        crate::engine::set_serial_fallback(true);
-        crate::fault::arm(crate::fault::FaultPlan::once_at(
-            crate::fault::ENGINE_DISPATCH,
-        ));
-        let recomputed = top.apply_batch_with(&pool, &refs);
-        let fired = crate::fault::fires();
-        crate::fault::disarm();
-        assert_eq!(fired, 1, "engine.dispatch must fire once");
-        let recomputed = recomputed.unwrap();
-        assert_eq!(recomputed.len(), 4);
-        for (c, (a, b)) in batch.iter().zip(&recomputed).enumerate() {
-            assert!(bits_eq(a, b), "coil {c}");
-        }
     }
 
     #[test]
@@ -638,14 +616,21 @@ mod tests {
         let bad =
             ToeplitzOperator::<2>::build_degradable(&cfg, &coords, &[1.0; 3], &SerialGridder, None);
         assert!(matches!(bad, Err(Error::Data(_))));
-        let nan_weights = vec![f64::NAN; coords.len()];
-        let nan = ToeplitzOperator::<2>::build_degradable(
-            &cfg,
-            &coords,
-            &nan_weights,
-            &SerialGridder,
-            None,
-        );
-        assert!(matches!(nan, Err(Error::Data(_))));
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut weights = vec![1.0; coords.len()];
+            weights[7] = poison;
+            let err = ToeplitzOperator::<2>::build_degradable(
+                &cfg,
+                &coords,
+                &weights,
+                &SerialGridder,
+                None,
+            )
+            .err();
+            assert!(
+                matches!(&err, Some(Error::Data(m)) if m.contains("non-finite density weight at index 7")),
+                "{poison} weight: {err:?}"
+            );
+        }
     }
 }

@@ -22,9 +22,9 @@
 //!    panic the loader; every declared entry is either restored or
 //!    counted skipped, and version damage degrades to an error (cold
 //!    start), never a crash.
-//! 7. **Input hygiene** — non-finite k-space sample values and density
-//!    weights are rejected with a data error before they can reach a
-//!    plan or a persisted snapshot.
+//! 7. **Input hygiene** — non-finite k-space sample values are rejected
+//!    with a data error before they can reach a plan or a persisted
+//!    snapshot.
 //! 8. **Verified hits** — an entry resident under a request's key but
 //!    built from another trajectory (a hash collision) is a miss, and
 //!    the rebuilt entry replaces it.
@@ -32,8 +32,8 @@
 use jigsaw::core::budget::RunBudget;
 use jigsaw::core::gridding::SerialGridder;
 use jigsaw::core::serve::{
-    decode_snapshot, encode_snapshot, plan_key, snapshot, trajectory_hash, CachedPlan, JobRequest,
-    PlanCache, Priority, ServeEngine, SnapshotEntry,
+    decode_snapshot, encode_snapshot, plan_key, trajectory_hash, CachedPlan, JobRequest, PlanCache,
+    Priority, ServeEngine, SnapshotEntry,
 };
 use jigsaw::core::{NufftConfig, NufftPlan};
 use jigsaw::num::C64;
@@ -284,12 +284,9 @@ fn colliding_entry_is_a_miss_and_is_replaced() {
     let plan = NufftPlan::<f64, 2>::new(cfg.clone()).unwrap();
     let impostor = Arc::new(CachedPlan {
         key: plan_key(&cfg, &coords_a),
-        cfg: cfg.clone(),
         traj: plan.plan_trajectory(&coords_b).unwrap(),
         plan,
         coords: coords_b.as_slice().into(),
-        weights: Arc::from([] as [f64; 0]),
-        toeplitz: None,
     });
     engine.cache().insert(Arc::clone(&impostor));
 
@@ -308,30 +305,16 @@ fn colliding_entry_is_a_miss_and_is_replaced() {
     assert!(bits_eq(&again.image, &res.image));
 }
 
-/// A randomized snapshot-entry set: plan entries with assorted shapes,
-/// plus an occasional Toeplitz entry carrying density weights.
+/// A randomized snapshot-entry set: plan entries with assorted shapes.
 fn random_entries(rng: &mut Rng) -> Vec<SnapshotEntry> {
     let count = rng.usize_range(1, 5);
     (0..count)
         .map(|_| {
             let n = *rng.choose(&[8usize, 16, 24]);
             let m = rng.usize_range(4, 40);
-            let coords = problem(n, m, rng.u64()).0;
-            let toeplitz = rng.usize_range(0, 3) == 0;
-            let weights: Vec<f64> = if toeplitz {
-                (0..m).map(|_| rng.f64_range(0.1, 2.0)).collect()
-            } else {
-                Vec::new()
-            };
             SnapshotEntry {
-                kind: if toeplitz {
-                    snapshot::ENTRY_TOEPLITZ
-                } else {
-                    snapshot::ENTRY_PLAN
-                },
                 cfg: NufftConfig::with_n(n),
-                coords: coords.into(),
-                weights: weights.into(),
+                coords: problem(n, m, rng.u64()).0.into(),
             }
         })
         .collect()
@@ -372,10 +355,7 @@ fn restored_cache_serves_bitwise_identical_hits() {
     assert_eq!(saved, 1);
 
     let restarted = ServeEngine::new(4);
-    let (loaded, skipped) = restarted
-        .cache()
-        .load_snapshot(&path, &SerialGridder)
-        .unwrap();
+    let (loaded, skipped) = restarted.cache().load_snapshot(&path).unwrap();
     assert_eq!((loaded, skipped), (1, 0));
     let after = restarted.execute(&req, &RunBudget::unlimited()).unwrap();
     assert!(after.cache_hit, "restored plan must serve as a cache hit");
@@ -488,31 +468,6 @@ fn non_finite_sample_values_are_rejected_as_data_errors() {
             "rejected jobs must not populate the cache"
         );
     });
-}
-
-/// Property 7b: non-finite density weights are rejected by the Toeplitz
-/// kernel build before the weight can poison a PSF (which a snapshot
-/// would otherwise happily persist and replay).
-#[test]
-fn non_finite_density_weights_are_rejected() {
-    const N: usize = 8;
-    let cache = PlanCache::new(4);
-    let cfg = NufftConfig::with_n(N);
-    let (coords, _) = problem(N, 20, 77);
-    for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let mut weights = vec![1.0; coords.len()];
-        weights[7] = poison;
-        let err = match cache.get_or_build_toeplitz(&cfg, &coords, &weights, &SerialGridder) {
-            Err(e) => e,
-            Ok(_) => panic!("poisoned weights must be refused"),
-        };
-        assert!(
-            err.to_string()
-                .contains("non-finite density weight at index 7"),
-            "{err}"
-        );
-    }
-    assert_eq!(cache.len(), 0);
 }
 
 /// `cases!` property: any two trajectories drawn with different
