@@ -56,12 +56,16 @@ fn ablation_lut() {
     group.sample_size(10);
     group.bench_function("lut_weights", || {
         let mut out = vec![C64::zeroed(); g * g];
-        SerialGridder.grid(&params, &lut, &coords, &values, &mut out);
+        SerialGridder
+            .grid(&params, &lut, &coords, &values, &mut out)
+            .unwrap();
         out
     });
     group.bench_function("on_the_fly_weights", || {
         let mut out = vec![C64::zeroed(); g * g];
-        ExactGridder.grid(&params, &lut, &coords, &values, &mut out);
+        ExactGridder
+            .grid(&params, &lut, &coords, &values, &mut out)
+            .unwrap();
         out
     });
     group.finish();
@@ -79,7 +83,9 @@ fn ablation_tile() {
         };
         group.bench_function(&format!("tile{bin_tile}"), || {
             let mut out = vec![C64::zeroed(); g * g];
-            binner.grid(&params, &lut, &coords, &values, &mut out);
+            binner
+                .grid(&params, &lut, &coords, &values, &mut out)
+                .unwrap();
             out
         });
     }
@@ -99,7 +105,9 @@ fn ablation_atomics() {
         let engine = SliceDiceGridder::new(mode);
         group.bench_function(name, || {
             let mut out = vec![C64::zeroed(); g * g];
-            engine.grid(&params, &lut, &coords, &values, &mut out);
+            engine
+                .grid(&params, &lut, &coords, &values, &mut out)
+                .unwrap();
             out
         });
     }
@@ -135,7 +143,9 @@ fn ablation_l_sweep() {
         let lut = KernelLut::from_params(&params);
         group.bench_function(&format!("L{l}"), || {
             let mut out = vec![C64::zeroed(); g * g];
-            SerialGridder.grid(&params, &lut, &coords, &values, &mut out);
+            SerialGridder
+                .grid(&params, &lut, &coords, &values, &mut out)
+                .unwrap();
             out
         });
     }
@@ -224,12 +234,16 @@ fn ablation_morton_presort() {
     group.sample_size(10);
     group.bench_function("shuffled_stream", || {
         let mut out = vec![C64::zeroed(); g * g];
-        SerialGridder.grid(&params, &lut, &coords, &values, &mut out);
+        SerialGridder
+            .grid(&params, &lut, &coords, &values, &mut out)
+            .unwrap();
         out
     });
     group.bench_function("morton_sorted_stream", || {
         let mut out = vec![C64::zeroed(); g * g];
-        SerialGridder.grid(&params, &lut, &sorted_coords, &sorted_values, &mut out);
+        SerialGridder
+            .grid(&params, &lut, &sorted_coords, &sorted_values, &mut out)
+            .unwrap();
         out
     });
     group.finish();

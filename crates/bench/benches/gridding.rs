@@ -65,7 +65,9 @@ fn bench_engines() {
     for (name, engine) in &engines {
         group.bench_function(name, || {
             let mut out = vec![C64::zeroed(); g * g];
-            engine.grid(&params, &lut, &coords, &values, &mut out);
+            engine
+                .grid(&params, &lut, &coords, &values, &mut out)
+                .unwrap();
             out
         });
     }
@@ -89,7 +91,8 @@ fn bench_grid_size_scaling() {
         group.bench_function(&format!("slice_dice/{n}"), || {
             let mut out = vec![C64::zeroed(); g * g];
             SliceDiceGridder::new(SliceDiceMode::Serial)
-                .grid(&params, &lut, &coords, &values, &mut out);
+                .grid(&params, &lut, &coords, &values, &mut out)
+                .unwrap();
             out
         });
     }

@@ -63,7 +63,9 @@ fn main() {
     fault::disarm();
     let disarmed = group.bench_function("gridding_faults_disarmed", || {
         let mut out = vec![C64::zeroed(); g * g];
-        engine.grid(params, lut, &mapped, &values, &mut out);
+        engine
+            .grid(params, lut, &mapped, &values, &mut out)
+            .unwrap();
         out
     });
 
@@ -73,7 +75,9 @@ fn main() {
     fault::arm(fault::FaultPlan::once_at("bench.nonexistent"));
     let armed_miss = group.bench_function("gridding_faults_armed_miss", || {
         let mut out = vec![C64::zeroed(); g * g];
-        engine.grid(params, lut, &mapped, &values, &mut out);
+        engine
+            .grid(params, lut, &mapped, &values, &mut out)
+            .unwrap();
         out
     });
     fault::disarm();

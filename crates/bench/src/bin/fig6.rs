@@ -89,7 +89,7 @@ fn main() {
 
         let run = |gr: &dyn Gridder<f64, 2>| {
             let mut out = vec![C64::zeroed(); g * g];
-            gr.grid(&params, &lut, &coords, &values, &mut out)
+            gr.grid(&params, &lut, &coords, &values, &mut out).unwrap()
         };
         let s_serial = run(&SerialGridder);
         let s_binned = run(&BinnedGridder::default());

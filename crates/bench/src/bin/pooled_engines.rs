@@ -5,9 +5,8 @@
 //! `BENCH_pooled_engines.json`:
 //!
 //! 1. **Engine dispatch** — how fast is each parallel gridder, every one
-//!    dispatched through the persistent
-//!    [`WorkerPool`](jigsaw_core::engine::WorkerPool), against the serial
-//!    engine on the same problem?
+//!    dispatched through the persistent [`WorkerPool`], against the
+//!    serial engine on the same problem?
 //! 2. **Multi-coil batching** — on a radial 256² problem with ≥ 8 coils,
 //!    does `plan_trajectory` + `adjoint_batch_planned` (decompose once,
 //!    one coil per pool job) beat a per-coil loop of `adjoint` calls, each
@@ -62,7 +61,9 @@ fn engine_dispatch(img: &EvalImage, records: &mut Vec<JsonRecord>) -> (f64, f64)
     // engine's dispatch is read against.
     let serial = group.bench_function("serial", || {
         let mut out = vec![C64::zeroed(); g * g];
-        SerialGridder.grid(params, lut, &mapped, &values, &mut out);
+        SerialGridder
+            .grid(params, lut, &mapped, &values, &mut out)
+            .unwrap();
         out
     });
     record(records, "engine_dispatch", "serial", serial);
@@ -81,7 +82,9 @@ fn engine_dispatch(img: &EvalImage, records: &mut Vec<JsonRecord>) -> (f64, f64)
     for (name, engine) in &engines {
         let stats = group.bench_function(name, || {
             let mut out = vec![C64::zeroed(); g * g];
-            engine.grid(params, lut, &mapped, &values, &mut out);
+            engine
+                .grid(params, lut, &mapped, &values, &mut out)
+                .unwrap();
             out
         });
         record(records, "engine_dispatch", name, stats);

@@ -9,11 +9,12 @@
 //! telemetry baseline.
 //!
 //! A second phase times the introspection *record path* added for live
-//! serve stats — a [`WindowedHistogram`] record plus a flight-recorder
-//! event per iteration, exactly the per-job sequence the serve engine
-//! runs — against a bare baseline loop. The disarmed variant (telemetry
-//! off, instrumentation present) is the acceptance gate: it must stay
-//! within 1.05× of the baseline, i.e. one branch per site.
+//! serve stats — a [`jigsaw_telemetry::WindowedHistogram`] record plus a
+//! flight-recorder event per iteration, exactly the per-job sequence the
+//! serve engine runs — against a bare baseline loop. The disarmed
+//! variant (telemetry off, instrumentation present) is the acceptance
+//! gate: it must stay within 1.05× of the baseline, i.e. one branch per
+//! site.
 //!
 //! Run with `cargo run --release -p jigsaw-bench --bin telemetry_overhead`
 //! (append `--quick`, or set `JIGSAW_BENCH_SAMPLES`, to shrink the run).
@@ -60,7 +61,9 @@ fn main() {
         telemetry::set_enabled(enabled);
         let stats = group.bench_function(id, || {
             let mut out = vec![C64::zeroed(); g * g];
-            engine.grid(params, lut, &mapped, &values, &mut out);
+            engine
+                .grid(params, lut, &mapped, &values, &mut out)
+                .unwrap();
             out
         });
         // Don't let event buffers grow across configs.

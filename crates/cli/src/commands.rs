@@ -470,7 +470,7 @@ pub fn gridbench(o: &Options) -> CmdResult {
     ];
     for (name, e) in &engines {
         let mut out = vec![C64::zeroed(); g * g];
-        let stats = e.grid(&params, &lut, &coords, &values, &mut out);
+        let stats = e.grid(&params, &lut, &coords, &values, &mut out)?;
         println!(
             "{name:>28}: {:>10}  (presort {}, {} checks, {:.2}× duplication)",
             fmt_time(stats.total_seconds()),

@@ -126,6 +126,27 @@ fn execution_error_is_four() {
 }
 
 #[test]
+fn strict_gridding_fault_is_four() {
+    // A fault in a gridding engine's pooled job obeys the same policy
+    // as a coil job: with the fallback disabled it is an execution
+    // error, not a silently degraded success.
+    let out = Command::new(env!("CARGO_BIN_EXE_jigsaw"))
+        .args(["recon", "--n", "16", "--spokes", "4"])
+        .env("JIGSAW_FAULTS", "site=gridding.chunk,seed=7,rate=1,fires=1")
+        .env("JIGSAW_FALLBACK", "0")
+        .output()
+        .expect("failed to spawn jigsaw binary");
+    assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("error: execution error:")),
+        "stderr: {err}"
+    );
+    assert!(err.contains("gridding.chunk"), "stderr: {err}");
+}
+
+#[test]
 fn budget_error_is_five() {
     // A 1 ms budget exhausts during acquisition/setup, before the first
     // CG iteration completes — no usable iterate exists, so this is a

@@ -64,8 +64,8 @@ pub fn pipe_menon<const D: usize>(
     for _ in 0..iterations {
         grid.fill(C64::zeroed());
         let values: Vec<C64> = w.iter().map(|&x| C64::new(x, 0.0)).collect();
-        SerialGridder.grid(p, lut, coords, &values, &mut grid);
-        interp::interpolate(p, lut, &grid, coords, &mut back, Some(1))?;
+        SerialGridder.grid(p, lut, coords, &values, &mut grid)?;
+        interp::interpolate(p, lut, &grid, coords, &mut back)?;
         for (wi, b) in w.iter_mut().zip(&back) {
             let density = b.re;
             if density > 1e-12 {
@@ -101,7 +101,7 @@ pub fn density_flatness<const D: usize>(
         scatter_rowmajor(p.grid, p.width, &wins, v, &mut grid);
     }
     let mut back = vec![C64::zeroed(); coords.len()];
-    interp::interpolate(p, lut, &grid, coords, &mut back, Some(1))?;
+    interp::interpolate(p, lut, &grid, coords, &mut back)?;
     let densities: Vec<f64> = back.iter().map(|z| z.re).collect();
     let mean = densities.iter().sum::<f64>() / densities.len().max(1) as f64;
     Ok(densities

@@ -26,16 +26,21 @@
 //!   first use and then cycles: worker fills it, the caller merges it into
 //!   the output grid and *returns it to the same worker's arena*.
 //!
-//! [`WorkerPool::try_run`] is the only way the workspace runs parallel
-//! work: the gridders, the batched NuFFT coils (and so every served
-//! request), the row bands a large one-coil adjoint splits into, the
-//! SENSE adjoint and the Toeplitz coil convolutions all dispatch through
-//! it, and the uniform FFT runs serially, inside a coil's job or on the
-//! dispatching thread.
+//! [`WorkerPool::map`] is the one way the workspace runs parallel work:
+//! the gridders, the batched NuFFT coils (and so every served request),
+//! the row bands a large one-coil adjoint splits into, the forward
+//! NuFFT's gather, the SENSE adjoint and the Toeplitz coil convolutions
+//! all dispatch through it, and the uniform FFT runs serially, inside a
+//! coil's job or on the dispatching thread. `map` returns the jobs'
+//! values in job order and owns the serial-fallback policy: a job that
+//! panicked is run again by itself on the calling thread, or the call
+//! fails with `Error::Execution`. The block-atomic gridder, whose jobs
+//! add into one shared grid, is the only caller of the lower-level
+//! `try_run`.
 //!
 //! Everything here is safe Rust: jobs are `'static` closures capturing
-//! `Arc`-shared immutable inputs, results travel back over channels, and
-//! a latch (mutex + condvar) provides the join point. Determinism is
+//! `Arc`-shared immutable inputs, each job's value lands in its own slot,
+//! and a latch (mutex + condvar) provides the join point. Determinism is
 //! preserved because job partitioning depends only on the *requested*
 //! thread count, never on pool size or scheduling order, and the caller
 //! merges results in job order.
@@ -57,11 +62,12 @@ use std::time::Instant;
 /// 0 = uninitialized, 1 = fallback on, 2 = fallback off.
 static FALLBACK_STATE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
-/// Whether a contained pooled-job failure triggers an automatic serial
-/// retry (bitwise-identical output, counted in the `engine.fallbacks`
-/// telemetry metric) instead of surfacing `Error::Execution`. Defaults to
-/// on; disable with `JIGSAW_FALLBACK=0` or [`set_serial_fallback`]. Same
-/// kill-switch pattern as the telemetry crate: one relaxed load + branch.
+/// Whether a contained pooled-job failure makes [`WorkerPool::map`] run
+/// the failed jobs again on the calling thread (bitwise-identical output,
+/// counted in the `engine.fallbacks` telemetry metric) instead of
+/// surfacing `Error::Execution`. Defaults to on; disable with
+/// `JIGSAW_FALLBACK=0` or [`set_serial_fallback`]. Same kill-switch
+/// pattern as the telemetry crate: one relaxed load + branch.
 #[inline]
 pub fn serial_fallback_enabled() -> bool {
     match FALLBACK_STATE.load(Ordering::Relaxed) {
@@ -90,7 +96,7 @@ pub fn set_serial_fallback(on: bool) {
 /// current request id, so a degraded request is attributable after the
 /// fact. `detail` names the path that fell back (e.g. a gridder or the
 /// batched adjoint).
-pub fn note_serial_fallback(detail: &str) {
+pub(crate) fn note_serial_fallback(detail: &str) {
     telemetry::record_counter("engine.fallbacks", 1);
     telemetry::flight::record(
         telemetry::FlightKind::FallbackTaken,
@@ -104,7 +110,7 @@ pub fn note_serial_fallback(detail: &str) {
 /// caught on the worker (which survives, with its poisoned arena buffers
 /// discarded), and the payload was captured here.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFailure {
+pub(crate) struct JobFailure {
     /// Index of the failed job within the dispatch.
     pub job: usize,
     /// Worker slot the job ran on.
@@ -120,14 +126,6 @@ impl std::fmt::Display for JobFailure {
             "job {} panicked on worker {}: {}",
             self.job, self.worker, self.message
         )
-    }
-}
-
-impl std::error::Error for JobFailure {}
-
-impl From<JobFailure> for crate::Error {
-    fn from(f: JobFailure) -> Self {
-        crate::Error::Execution(f.to_string())
     }
 }
 
@@ -368,29 +366,79 @@ impl WorkerPool {
         job % self.workers.len()
     }
 
-    /// Run `njobs` invocations of `f(job_index, arena)` across the pool
-    /// and block until all complete. Job `j` runs on worker `j % size`;
-    /// jobs beyond the pool size queue behind earlier jobs on the same
-    /// worker. Panics (after all jobs finish) if any job panicked; use
-    /// [`Self::try_run`] to receive the contained failure instead.
-    pub fn run<F>(&self, njobs: usize, f: F)
+    /// Run `f(j, arena)` for every job `j < njobs` across the pool and
+    /// return the values in job order. Job `j` runs on worker `j % size`
+    /// with that worker's arena; jobs beyond the pool size queue behind
+    /// earlier jobs on the same worker.
+    ///
+    /// A job that panics is contained (see `try_run`) and the
+    /// serial-fallback policy decides what happens next. With the
+    /// fallback off ([`serial_fallback_enabled`]) the call returns
+    /// [`crate::Error::Execution`]. With it on, one `engine.fallbacks` is
+    /// counted and flight-recorded under `label`, and only the jobs that
+    /// returned nothing run again, one after another on the calling
+    /// thread, each with a fresh [`ScratchArena`] inside `catch_unwind`.
+    /// A job that fails again is `Error::Execution`, never a panic in the
+    /// caller.
+    ///
+    /// The re-run is bitwise identical to the pooled run as long as each
+    /// job reads shared inputs and writes only buffers it owns, which
+    /// every caller's jobs do: Slice-and-Dice column owners never
+    /// interact. A job must not dispatch into its own pool: it may be
+    /// queued behind the very job that waits for it.
+    pub fn map<R, F>(&self, label: &str, njobs: usize, f: F) -> crate::Result<Vec<R>>
     where
-        F: Fn(usize, &mut ScratchArena) + Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &mut ScratchArena) -> R + Send + Sync + 'static,
     {
-        if let Err(failure) = self.try_run(njobs, f) {
-            panic!("a worker-pool job panicked ({failure})");
+        let f = Arc::new(f);
+        let slots: Arc<Vec<Mutex<Option<R>>>> =
+            Arc::new((0..njobs).map(|_| Mutex::new(None)).collect());
+        let (job, job_slots) = (Arc::clone(&f), Arc::clone(&slots));
+        let run = self.try_run(njobs, move |j, arena| {
+            let value = job(j, arena);
+            *job_slots[j].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
+        });
+        let mut values: Vec<Option<R>> = slots
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).take())
+            .collect();
+        if let Err(failure) = run {
+            if !serial_fallback_enabled() {
+                return Err(crate::Error::Execution(format!("{label}: {failure}")));
+            }
+            note_serial_fallback(label);
+            for (j, slot) in values.iter_mut().enumerate() {
+                if slot.is_some() {
+                    continue;
+                }
+                let rerun = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    f(j, &mut ScratchArena::default())
+                }));
+                *slot = Some(rerun.map_err(|payload| {
+                    crate::Error::Execution(format!(
+                        "{label}: job {j} failed again on the calling thread: {}",
+                        panic_message(&*payload)
+                    ))
+                })?);
+            }
         }
+        Ok(values.into_iter().flatten().collect())
     }
 
-    /// Like [`Self::run`], but a panicking job is *contained*: the panic
-    /// is caught on the worker, the worker survives and its (potentially
-    /// half-written) arena buffers are discarded rather than recycled,
-    /// and after every job of the dispatch has finished the first failure
-    /// is returned as a [`JobFailure`]. The pool stays fully usable.
+    /// Run `njobs` invocations of `f(job_index, arena)` across the pool
+    /// and block until all complete. A panicking job is *contained*: the
+    /// panic is caught on the worker, the worker survives and its
+    /// (potentially half-written) arena buffers are discarded rather than
+    /// recycled, and after every job of the dispatch has finished the
+    /// first failure is returned as a [`JobFailure`]. The pool stays fully
+    /// usable.
     ///
-    /// A job must not dispatch into its own pool: it may be queued behind
-    /// the very job that waits for it.
-    pub fn try_run<F>(&self, njobs: usize, f: F) -> Result<(), JobFailure>
+    /// [`Self::map`] wraps this with result collection and the fallback
+    /// policy; only jobs that cannot be re-run one by one (the
+    /// block-atomic gridder's, which add into one shared grid) call it
+    /// directly.
+    pub(crate) fn try_run<F>(&self, njobs: usize, f: F) -> Result<(), JobFailure>
     where
         F: Fn(usize, &mut ScratchArena) + Send + Sync + 'static,
     {
@@ -555,9 +603,10 @@ mod tests {
         let pool = WorkerPool::new(3);
         let counter = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&counter);
-        pool.run(10, move |_, _| {
+        pool.try_run(10, move |_, _| {
             c.fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 10);
         assert_eq!(pool.dispatches(), 1);
     }
@@ -574,9 +623,10 @@ mod tests {
     fn results_travel_via_channels() {
         let pool = WorkerPool::new(2);
         let (tx, rx) = channel();
-        pool.run(6, move |j, _| {
+        pool.try_run(6, move |j, _| {
             tx.send((j, j * j)).unwrap();
-        });
+        })
+        .unwrap();
         let mut got: Vec<(usize, usize)> = rx.try_iter().collect();
         got.sort_unstable();
         assert_eq!(got, (0..6).map(|j| (j, j * j)).collect::<Vec<_>>());
@@ -587,17 +637,19 @@ mod tests {
         let pool = WorkerPool::new(1);
         let (tx, rx) = channel();
         let tx2 = tx.clone();
-        pool.run(1, move |_, arena| {
+        pool.try_run(1, move |_, arena| {
             let v = arena.take_vec::<u64>(9, 128, 0);
             tx2.send(v.as_ptr() as usize).unwrap();
             arena.give_vec(9, v);
-        });
+        })
+        .unwrap();
         let first_ptr = rx.recv().unwrap();
-        pool.run(1, move |_, arena| {
+        pool.try_run(1, move |_, arena| {
             let v = arena.take_vec::<u64>(9, 64, 0);
             tx.send(v.as_ptr() as usize).unwrap();
             arena.give_vec(9, v);
-        });
+        })
+        .unwrap();
         let second_ptr = rx.recv().unwrap();
         assert_eq!(first_ptr, second_ptr, "buffer must be recycled");
         assert!(pool.resident_scratch_bytes() >= 128 * 8);
@@ -623,43 +675,43 @@ mod tests {
         // second dispatch's job 1 (also worker 1) can reuse it.
         let (tx, rx) = channel();
         let txa = tx.clone();
-        pool.run(4, move |j, arena| {
+        pool.try_run(4, move |j, arena| {
             if j == 3 {
                 let v = arena.take_vec::<u32>(5, 32, 0);
                 txa.send(v).unwrap();
             }
-        });
+        })
+        .unwrap();
         let buf = rx.recv().unwrap();
         let ptr = buf.as_ptr() as usize;
         pool.restore(3, 5, buf);
         let (tx2, rx2) = channel();
-        pool.run(2, move |j, arena| {
+        pool.try_run(2, move |j, arena| {
             if j == 1 {
                 let v = arena.take_vec::<u32>(5, 32, 0);
                 tx2.send(v.as_ptr() as usize).unwrap();
             }
-        });
+        })
+        .unwrap();
         assert_eq!(rx2.recv().unwrap(), ptr);
     }
 
     #[test]
     fn panicking_job_propagates_without_poisoning_pool() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let p = Arc::clone(&pool);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            p.run(3, |j, _| {
-                if j == 1 {
-                    panic!("boom");
-                }
-            });
-        }));
+        let pool = WorkerPool::new(2);
+        let result = pool.try_run(3, |j, _| {
+            if j == 1 {
+                panic!("boom");
+            }
+        });
         assert!(result.is_err());
         // Pool still works.
         let counter = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&counter);
-        pool.run(4, move |_, _| {
+        pool.try_run(4, move |_, _| {
             c.fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 4);
     }
 
@@ -724,7 +776,9 @@ mod tests {
     #[test]
     fn zero_jobs_is_a_noop() {
         let pool = WorkerPool::new(2);
-        pool.run(0, |_, _| panic!("must not run"));
+        pool.try_run(0, |_, _| panic!("must not run")).unwrap();
+        let none: Vec<()> = pool.map("test", 0, |_, _| panic!("must not run")).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]
@@ -732,10 +786,11 @@ mod tests {
         let pool = WorkerPool::new(2);
         assert_eq!(pool.worker_busy_ns(), vec![0, 0]);
         assert_eq!(pool.worker_job_counts(), vec![0, 0]);
-        pool.run(4, |_, _| {
+        pool.try_run(4, |_, _| {
             // Enough work that the per-job Instant delta is nonzero.
             std::hint::black_box((0..200_000u64).map(|x| x.wrapping_mul(x)).sum::<u64>());
-        });
+        })
+        .unwrap();
         let busy = pool.worker_busy_ns();
         let counts = pool.worker_job_counts();
         assert_eq!(busy.len(), 2);
@@ -777,10 +832,90 @@ mod tests {
         let pool = WorkerPool::new(2);
         telemetry::set_enabled(true);
         let before = pool.run_hist.count();
-        pool.run(6, |_, _| {});
+        pool.try_run(6, |_, _| {}).unwrap();
         // The histograms are global ("engine.job_run_ns"), so concurrent
         // tests may also record: assert at least this dispatch's jobs.
         assert!(pool.run_hist.count() - before >= 6);
         assert!(pool.wait_hist.count() >= 6);
+    }
+
+    /// A job that panics on the first attempt at `failing`, and records
+    /// the thread of every attempt at every job.
+    type Attempts = Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>>;
+
+    fn flaky_job(
+        failing: usize,
+    ) -> (
+        Attempts,
+        impl Fn(usize, &mut ScratchArena) -> usize + Send + Sync + 'static,
+    ) {
+        let attempts: Attempts = Arc::default();
+        let log = Arc::clone(&attempts);
+        let job = move |j: usize, _: &mut ScratchArena| {
+            let mut log = log.lock().unwrap();
+            let first = !log.iter().any(|&(k, _)| k == j);
+            log.push((j, std::thread::current().id()));
+            drop(log);
+            if j == failing && first {
+                panic!("first attempt at job {j}");
+            }
+            10 * j
+        };
+        (attempts, job)
+    }
+
+    #[test]
+    fn map_returns_values_in_job_order_and_reruns_only_the_failed_job_here() {
+        let _lock = crate::fault::test_guard();
+        set_serial_fallback(true);
+        let pool = WorkerPool::new(2);
+        let clean = pool.map("test", 7, |j, _| 10 * j).unwrap();
+        assert_eq!(clean, [0, 10, 20, 30, 40, 50, 60]);
+        let (attempts, job) = flaky_job(2);
+        let got = pool.map("test", 7, job).unwrap();
+        assert_eq!(got, clean);
+        let attempts = attempts.lock().unwrap();
+        let me = std::thread::current().id();
+        for j in 0..7 {
+            let runs: Vec<_> = attempts.iter().filter(|&&(k, _)| k == j).collect();
+            assert_eq!(runs.len(), if j == 2 { 2 } else { 1 }, "job {j}");
+            assert_ne!(runs[0].1, me, "job {j} first ran on a worker");
+        }
+        assert_eq!(attempts.last(), Some(&(2, me)), "the re-run is last, here");
+    }
+
+    #[test]
+    fn map_fails_closed_with_the_fallback_off() {
+        let _lock = crate::fault::test_guard();
+        set_serial_fallback(false);
+        let (attempts, job) = flaky_job(1);
+        let got = WorkerPool::new(2).map("test.strict", 3, job);
+        set_serial_fallback(true);
+        match got {
+            Err(crate::Error::Execution(msg)) => {
+                assert!(msg.starts_with("test.strict: job 1 panicked"), "{msg}")
+            }
+            other => panic!("expected Error::Execution, got {other:?}"),
+        }
+        assert_eq!(attempts.lock().unwrap().len(), 3, "no job ran again");
+    }
+
+    #[test]
+    fn map_fails_closed_when_the_rerun_panics_too() {
+        let _lock = crate::fault::test_guard();
+        set_serial_fallback(true);
+        let got = WorkerPool::new(2).map("test.twice", 3, |j, _| {
+            if j == 1 {
+                panic!("job {j} always fails");
+            }
+            j
+        });
+        match got {
+            Err(crate::Error::Execution(msg)) => assert!(
+                msg.contains("job 1 failed again on the calling thread: job 1 always fails"),
+                "{msg}"
+            ),
+            other => panic!("expected Error::Execution, got {other:?}"),
+        }
     }
 }

@@ -18,6 +18,14 @@
 //! Every site is a single relaxed atomic load + branch when disarmed
 //! (≤ 2 % on the `pooled_engines` gridding problem; see
 //! `BENCH_fault_overhead.json`).
+//!
+//! The pool-job sites sit inside the job bodies, so when
+//! [`crate::engine::WorkerPool::map`] runs a failed job again on the
+//! calling thread the re-run evaluates them again ([`ENGINE_DISPATCH`],
+//! in the pool's own wrapper, is the exception). A [`FaultPlan`] fires
+//! once unless it says otherwise, and a one-fire plan is spent by the
+//! pooled run, so the re-run completes; a plan with fires left over
+//! would fail the re-run too, which `map` reports as `Error::Execution`.
 
 pub use jigsaw_testkit::fault::{
     arm, disarm, fires, should_fire, test_guard, FaultInjected, FaultPlan,
@@ -25,15 +33,16 @@ pub use jigsaw_testkit::fault::{
 
 /// Inside every worker-pool job wrapper ([`crate::engine::WorkerPool`]),
 /// before the job body runs. Fires on a worker thread; contained by the
-/// pool's panic containment.
+/// pool's panic containment. Not evaluated when `map` re-runs a failed
+/// job on the calling thread.
 pub const ENGINE_DISPATCH: &str = "engine.dispatch";
 
 /// Inside every pooled gridding chunk job (column chunks, bin tiles,
-/// naive output chunks, block partials).
+/// naive output chunks, block partials, atomic blocks).
 pub const GRIDDING_CHUNK: &str = "gridding.chunk";
 
-/// Inside every per-coil job of the batched planned NuFFT paths
-/// ([`crate::nufft::NufftPlan::adjoint_batch_planned`] /
+/// Inside every per-coil or row-band job of the batched planned NuFFT
+/// paths ([`crate::nufft::NufftPlan::adjoint_batch_planned`] /
 /// `forward_batch_planned`).
 pub const NUFFT_COIL: &str = "nufft.coil";
 

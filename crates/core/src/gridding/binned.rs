@@ -29,10 +29,10 @@ use crate::decomp::Decomposer;
 use crate::engine::{keys, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
+use crate::{Error, Result};
 use jigsaw_num::{Complex, Float};
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::faultpoint;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -135,16 +135,17 @@ impl<T: Float, const D: usize> Gridder<T, D> for BinnedGridder {
         coords: &[[f64; D]],
         values: &[Complex<T>],
         out: &mut [Complex<T>],
-    ) -> GridStats {
-        if let Err(e) = validate_batch(p, coords, values, out) {
-            panic!("invalid sample batch: {e}");
+    ) -> Result<GridStats> {
+        validate_batch(p, coords, values, out)?;
+        if !(self.bin_tile.is_power_of_two()
+            && self.bin_tile >= p.width
+            && p.grid.is_multiple_of(self.bin_tile))
+        {
+            return Err(Error::Config(format!(
+                "bin tile {} must be a power of two with W ≤ B and B | G (W = {}, G = {})",
+                self.bin_tile, p.width, p.grid
+            )));
         }
-        assert!(
-            self.bin_tile.is_power_of_two()
-                && self.bin_tile >= p.width
-                && p.grid.is_multiple_of(self.bin_tile),
-            "bin tile must be a power of two with W ≤ B and B | G"
-        );
         let dec = Decomposer::new(p);
         let g = p.grid;
         let b = self.bin_tile;
@@ -179,9 +180,7 @@ impl<T: Float, const D: usize> Gridder<T, D> for BinnedGridder {
         let values_shared: Arc<[Complex<T>]> = values.into();
         let bins_shared = Arc::new(bins);
         let lut_shared = lut.clone();
-        let bins_fallback = Arc::clone(&bins_shared);
-        let (tx, rx) = channel();
-        let run = pool.try_run(njobs, move |tid, arena| {
+        let chunks = pool.map("gridding.binned", njobs, move |tid, arena| {
             faultpoint!(crate::fault::GRIDDING_CHUNK);
             let first_tile = tid * tiles_per_thread;
             let my_tiles = tiles_per_thread.min(ntiles - first_tile);
@@ -203,51 +202,21 @@ impl<T: Float, const D: usize> Gridder<T, D> for BinnedGridder {
                 first_tile,
                 &mut chunk,
             );
-            let _ = tx.send((tid, chunk, a, c));
-        });
-        if run.is_err() {
-            // Contained job panic. Tile chunks unblock into `out` only in
-            // the drain below (never reached), so redo every tile in one
-            // serial pass — bitwise identical, the partition only decides
-            // ownership.
-            crate::engine::note_serial_fallback("gridding.binned");
-            drop(rx);
-            let dec = Decomposer::new(p);
-            let mut blocked = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
-            let (a, c) = binned_tile_worker::<T, D>(
-                &dec,
-                lut,
-                coords,
-                values,
-                &bins_fallback,
+            (chunk, a, c)
+        })?;
+        for (tid, (chunk, a, c)) in chunks.into_iter().enumerate() {
+            unblock_tile_chunk::<T, D>(
+                g,
                 b,
                 tiles_per_dim,
                 tile_points,
-                width,
-                0,
-                &mut blocked,
+                tid * tiles_per_thread,
+                &chunk,
+                out,
             );
-            unblock_tile_chunk::<T, D>(g, b, tiles_per_dim, tile_points, 0, &blocked, out);
-            total_accums = a;
-            total_checks = c;
-        } else {
-            for _ in 0..njobs {
-                let Ok((tid, chunk, a, c)) = rx.recv() else {
-                    unreachable!("pooled binned job result missing after clean run");
-                };
-                unblock_tile_chunk::<T, D>(
-                    g,
-                    b,
-                    tiles_per_dim,
-                    tile_points,
-                    tid * tiles_per_thread,
-                    &chunk,
-                    out,
-                );
-                pool.restore(tid, keys::BIN_TILES, chunk);
-                total_accums += a;
-                total_checks += c;
-            }
+            pool.restore(tid, keys::BIN_TILES, chunk);
+            total_accums += a;
+            total_checks += c;
         }
         let gridding_seconds = t1.elapsed().as_secs_f64();
 
@@ -258,19 +227,16 @@ impl<T: Float, const D: usize> Gridder<T, D> for BinnedGridder {
             kernel_accumulations: total_accums,
             presort_seconds,
             gridding_seconds,
-            fft_seconds: 0.0,
-            apod_seconds: 0.0,
         };
         stats.mirror("binned");
-        stats
+        Ok(stats)
     }
 }
 
 /// One worker's job: process every tile–bin pair in its tile range into a
-/// private tile-blocked chunk. The serial fallback runs it over every
-/// tile, so the per-tile accumulation order (bin order, then window
-/// order) never depends on the partition. Returns (accumulations,
-/// checks).
+/// private tile-blocked chunk. The per-tile accumulation order (bin
+/// order, then window order) never depends on the partition. Returns
+/// (accumulations, checks).
 #[allow(clippy::too_many_arguments)]
 fn binned_tile_worker<T: Float, const D: usize>(
     dec: &Decomposer,
@@ -419,8 +385,10 @@ mod tests {
         let n = p.grid * p.grid;
         let mut a = vec![C64::zeroed(); n];
         let mut b = vec![C64::zeroed(); n];
-        SerialGridder.grid(p, &lut, &coords, &values, &mut a);
-        let stats = binner.grid(p, &lut, &coords, &values, &mut b);
+        SerialGridder
+            .grid(p, &lut, &coords, &values, &mut a)
+            .unwrap();
+        let stats = binner.grid(p, &lut, &coords, &values, &mut b).unwrap();
         (a, b, stats)
     }
 
@@ -467,13 +435,15 @@ mod tests {
         let coords = [[16.0, 16.0]];
         let values = [C64::one()];
         let mut out = vec![C64::zeroed(); 64 * 64];
-        let stats = binner.grid(&p, &lut, &coords, &values, &mut out);
+        let stats = binner.grid(&p, &lut, &coords, &values, &mut out).unwrap();
         assert_eq!(stats.samples, 1);
         assert_eq!(stats.samples_processed, 4);
         assert!(stats.duplication_factor() > 3.9);
         // Interior sample: exactly one bin.
         let mut out2 = vec![C64::zeroed(); 64 * 64];
-        let s2 = binner.grid(&p, &lut, &[[8.0, 8.0]], &values, &mut out2);
+        let s2 = binner
+            .grid(&p, &lut, &[[8.0, 8.0]], &values, &mut out2)
+            .unwrap();
         assert_eq!(s2.samples_processed, 1);
     }
 
@@ -483,7 +453,9 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let (coords, values) = sample_batch::<2>(1000, 64.0, 9);
         let mut out = vec![C64::zeroed(); 64 * 64];
-        let stats = BinnedGridder::default().grid(&p, &lut, &coords, &values, &mut out);
+        let stats = BinnedGridder::default()
+            .grid(&p, &lut, &coords, &values, &mut out)
+            .unwrap();
         assert!(stats.presort_seconds > 0.0, "presort must be timed");
     }
 
@@ -497,7 +469,9 @@ mod tests {
         };
         // One interior sample: 1 bin × 16² points.
         let mut out = vec![C64::zeroed(); 64 * 64];
-        let stats = binner.grid(&p, &lut, &[[8.0, 8.0]], &[C64::one()], &mut out);
+        let stats = binner
+            .grid(&p, &lut, &[[8.0, 8.0]], &[C64::one()], &mut out)
+            .unwrap();
         assert_eq!(stats.boundary_checks, 256);
     }
 
@@ -510,8 +484,12 @@ mod tests {
         let values = [C64::one()];
         let mut a = vec![C64::zeroed(); 64 * 64];
         let mut b = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
-        BinnedGridder::default().grid(&p, &lut, &coords, &values, &mut b);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
+        BinnedGridder::default()
+            .grid(&p, &lut, &coords, &values, &mut b)
+            .unwrap();
         let ma: f64 = a.iter().map(|z| z.re).sum();
         let mb: f64 = b.iter().map(|z| z.re).sum();
         assert!((ma - mb).abs() < 1e-12);
@@ -526,12 +504,15 @@ mod tests {
         let n = 32usize.pow(3);
         let mut a = vec![C64::zeroed(); n];
         let mut b = vec![C64::zeroed(); n];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
         BinnedGridder {
             bin_tile: 8,
             threads: Some(2),
         }
-        .grid(&p, &lut, &coords, &values, &mut b);
+        .grid(&p, &lut, &coords, &values, &mut b)
+        .unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.re.to_bits(), y.re.to_bits());
             assert_eq!(x.im.to_bits(), y.im.to_bits());
@@ -539,15 +520,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bin tile")]
     fn rejects_bin_tile_smaller_than_window() {
         let p = small_params(); // W = 6
         let lut = KernelLut::from_params(&p);
         let mut out = vec![C64::zeroed(); 64 * 64];
-        BinnedGridder {
+        let got = BinnedGridder {
             bin_tile: 4,
             threads: Some(1),
         }
         .grid(&p, &lut, &[[1.0, 1.0]], &[C64::one()], &mut out);
+        assert!(
+            matches!(&got, Err(Error::Config(m)) if m.contains("bin tile 4")),
+            "{got:?}"
+        );
+        assert!(out.iter().all(|z| *z == C64::zeroed()), "nothing written");
     }
 }

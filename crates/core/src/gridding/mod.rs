@@ -49,7 +49,11 @@ pub trait Gridder<T: Float, const D: usize>: Sync {
     /// per dim) onto `out`, a row-major `[G; D]` grid. `out` is *not*
     /// cleared first, so multi-shot accumulation works.
     ///
-    /// Returns instrumentation counters.
+    /// Returns instrumentation counters. An invalid batch
+    /// ([`validate_batch`]) is `Error::Data` and an invalid engine
+    /// setting `Error::Config`, both before any write; a pooled job that
+    /// fails takes [`crate::engine::WorkerPool::map`]'s fallback policy
+    /// (`Error::Execution` with the fallback off).
     fn grid(
         &self,
         p: &GridParams,
@@ -57,7 +61,7 @@ pub trait Gridder<T: Float, const D: usize>: Sync {
         coords: &[[f64; D]],
         values: &[Complex<T>],
         out: &mut [Complex<T>],
-    ) -> GridStats;
+    ) -> Result<GridStats>;
 }
 
 /// Validate a sample batch against a grid configuration: matching lengths,

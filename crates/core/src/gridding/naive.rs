@@ -17,10 +17,10 @@ use crate::decomp::Decomposer;
 use crate::engine::{keys, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
+use crate::Result;
 use jigsaw_num::{Complex, Float};
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::faultpoint;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,10 +75,8 @@ impl<T: Float, const D: usize> Gridder<T, D> for NaiveOutputGridder {
         coords: &[[f64; D]],
         values: &[Complex<T>],
         out: &mut [Complex<T>],
-    ) -> GridStats {
-        if let Err(e) = validate_batch(p, coords, values, out) {
-            panic!("invalid sample batch: {e}");
-        }
+    ) -> Result<GridStats> {
+        validate_batch(p, coords, values, out)?;
         let _span = telemetry::span!("gridding.naive", { dim: D, m: coords.len() });
         let dec = Decomposer::new(p);
         let g = p.grid;
@@ -106,9 +104,7 @@ impl<T: Float, const D: usize> Gridder<T, D> for NaiveOutputGridder {
         let quant_shared: Arc<[[u32; D]]> = quant.into();
         let values_shared: Arc<[Complex<T>]> = values.into();
         let lut_shared = lut.clone();
-        let quant_fallback = Arc::clone(&quant_shared);
-        let (tx, rx) = channel();
-        let run = pool.try_run(njobs, move |tid, arena| {
+        let chunks = pool.map("gridding.naive", njobs, move |tid, arena| {
             faultpoint!(crate::fault::GRIDDING_CHUNK);
             let lo = tid * points_per_job;
             let len = points_per_job.min(npoints - lo);
@@ -122,34 +118,15 @@ impl<T: Float, const D: usize> Gridder<T, D> for NaiveOutputGridder {
                 lo,
                 &mut chunk,
             );
-            let _ = tx.send((tid, chunk, n));
-        });
-        if run.is_err() {
-            // Contained job panic. Chunks fold into `out` only in the drain
-            // below (never reached), so recompute every grid point in one
-            // serial pass — bitwise identical, each point's windowed sum is
-            // independent.
-            crate::engine::note_serial_fallback("gridding.naive");
-            drop(rx);
-            let dec = Decomposer::new(p);
-            let mut chunk = vec![Complex::<T>::zeroed(); npoints];
-            total_accums =
-                naive_worker::<T, D>(&dec, lut, g, &quant_fallback, values, 0, &mut chunk);
-            for (o, &v) in out.iter_mut().zip(&chunk) {
+            (chunk, n)
+        })?;
+        for (tid, (chunk, n)) in chunks.into_iter().enumerate() {
+            let lo = tid * points_per_job;
+            for (o, &v) in out[lo..lo + chunk.len()].iter_mut().zip(&chunk) {
                 *o += v;
             }
-        } else {
-            for _ in 0..njobs {
-                let Ok((tid, chunk, n)) = rx.recv() else {
-                    unreachable!("pooled naive job result missing after clean run");
-                };
-                let lo = tid * points_per_job;
-                for (o, &v) in out[lo..lo + chunk.len()].iter_mut().zip(&chunk) {
-                    *o += v;
-                }
-                pool.restore(tid, keys::NAIVE_CHUNK, chunk);
-                total_accums += n;
-            }
+            pool.restore(tid, keys::NAIVE_CHUNK, chunk);
+            total_accums += n;
         }
         let stats = GridStats {
             samples: coords.len(),
@@ -158,11 +135,9 @@ impl<T: Float, const D: usize> Gridder<T, D> for NaiveOutputGridder {
             kernel_accumulations: total_accums,
             presort_seconds: 0.0,
             gridding_seconds: start.elapsed().as_secs_f64(),
-            fft_seconds: 0.0,
-            apod_seconds: 0.0,
         };
         stats.mirror("naive");
-        stats
+        Ok(stats)
     }
 }
 
@@ -228,8 +203,12 @@ mod tests {
         let (coords, values) = sample_batch::<2>(40, 16.0, 11);
         let mut a = vec![C64::zeroed(); 16 * 16];
         let mut b = vec![C64::zeroed(); 16 * 16];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
-        NaiveOutputGridder::default().grid(&p, &lut, &coords, &values, &mut b);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
+        NaiveOutputGridder::default()
+            .grid(&p, &lut, &coords, &values, &mut b)
+            .unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
                 x.re.to_bits(),
@@ -247,7 +226,9 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let (coords, values) = sample_batch::<2>(10, 16.0, 2);
         let mut out = vec![C64::zeroed(); 256];
-        let stats = NaiveOutputGridder::default().grid(&p, &lut, &coords, &values, &mut out);
+        let stats = NaiveOutputGridder::default()
+            .grid(&p, &lut, &coords, &values, &mut out)
+            .unwrap();
         assert_eq!(stats.boundary_checks, 10 * 256);
         // Each sample touches exactly W² points.
         assert_eq!(stats.kernel_accumulations, 10 * 36);

@@ -14,6 +14,7 @@ use crate::config::GridParams;
 use crate::decomp::Decomposer;
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
+use crate::Result;
 use jigsaw_num::{Complex, Float};
 use jigsaw_telemetry as telemetry;
 use std::time::Instant;
@@ -34,10 +35,8 @@ impl<T: Float, const D: usize> Gridder<T, D> for SerialGridder {
         coords: &[[f64; D]],
         values: &[Complex<T>],
         out: &mut [Complex<T>],
-    ) -> GridStats {
-        if let Err(e) = validate_batch(p, coords, values, out) {
-            panic!("invalid sample batch: {e}");
-        }
+    ) -> Result<GridStats> {
+        validate_batch(p, coords, values, out)?;
         let _span = telemetry::span!("gridding.serial", { dim: D, m: coords.len() });
         let dec = Decomposer::new(p);
         let w = p.width;
@@ -55,11 +54,9 @@ impl<T: Float, const D: usize> Gridder<T, D> for SerialGridder {
             kernel_accumulations: (coords.len() * w.pow(D as u32)) as u64,
             presort_seconds: 0.0,
             gridding_seconds: elapsed,
-            fft_seconds: 0.0,
-            apod_seconds: 0.0,
         };
         stats.mirror("serial");
-        stats
+        Ok(stats)
     }
 }
 
@@ -87,11 +84,9 @@ impl<T: Float, const D: usize> Gridder<T, D> for ExactGridder {
         coords: &[[f64; D]],
         values: &[Complex<T>],
         out: &mut [Complex<T>],
-    ) -> GridStats {
+    ) -> Result<GridStats> {
         let _ = lut; // exact evaluation ignores the table
-        if let Err(e) = validate_batch(p, coords, values, out) {
-            panic!("invalid sample batch: {e}");
-        }
+        validate_batch(p, coords, values, out)?;
         let _span = telemetry::span!("gridding.exact", { dim: D, m: coords.len() });
         let w = p.width;
         let g = p.grid as f64;
@@ -117,11 +112,9 @@ impl<T: Float, const D: usize> Gridder<T, D> for ExactGridder {
             kernel_accumulations: (coords.len() * w.pow(D as u32)) as u64,
             presort_seconds: 0.0,
             gridding_seconds: start.elapsed().as_secs_f64(),
-            fft_seconds: 0.0,
-            apod_seconds: 0.0,
         };
         stats.mirror("exact");
-        stats
+        Ok(stats)
     }
 }
 
@@ -145,10 +138,8 @@ impl<T: Float, const D: usize> Gridder<T, D> for LerpGridder {
         coords: &[[f64; D]],
         values: &[Complex<T>],
         out: &mut [Complex<T>],
-    ) -> GridStats {
-        if let Err(e) = validate_batch(p, coords, values, out) {
-            panic!("invalid sample batch: {e}");
-        }
+    ) -> Result<GridStats> {
+        validate_batch(p, coords, values, out)?;
         let _span = telemetry::span!("gridding.lerp", { dim: D, m: coords.len() });
         let w = p.width;
         let g = p.grid as f64;
@@ -173,11 +164,9 @@ impl<T: Float, const D: usize> Gridder<T, D> for LerpGridder {
             kernel_accumulations: (coords.len() * w.pow(D as u32)) as u64,
             presort_seconds: 0.0,
             gridding_seconds: start.elapsed().as_secs_f64(),
-            fft_seconds: 0.0,
-            apod_seconds: 0.0,
         };
         stats.mirror("lerp");
-        stats
+        Ok(stats)
     }
 }
 
@@ -196,11 +185,17 @@ mod tests {
         let (coords, values) = sample_batch::<2>(150, 64.0, 23);
         let n = 64 * 64;
         let mut exact = vec![C64::zeroed(); n];
-        ExactGridder.grid(&p, &lut, &coords, &values, &mut exact);
+        ExactGridder
+            .grid(&p, &lut, &coords, &values, &mut exact)
+            .unwrap();
         let mut nearest = vec![C64::zeroed(); n];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut nearest);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut nearest)
+            .unwrap();
         let mut lerp = vec![C64::zeroed(); n];
-        LerpGridder.grid(&p, &lut, &coords, &values, &mut lerp);
+        LerpGridder
+            .grid(&p, &lut, &coords, &values, &mut lerp)
+            .unwrap();
         let e_nearest = crate::metrics::rel_l2(&nearest, &exact);
         let e_lerp = crate::metrics::rel_l2(&lerp, &exact);
         assert!(
@@ -218,8 +213,12 @@ mod tests {
         let (coords, values) = sample_batch::<2>(100, 64.0, 17);
         let mut a = vec![C64::zeroed(); 64 * 64];
         let mut b = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
-        ExactGridder.grid(&p, &lut, &coords, &values, &mut b);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
+        ExactGridder
+            .grid(&p, &lut, &coords, &values, &mut b)
+            .unwrap();
         let err = crate::metrics::rel_l2(&a, &b);
         assert!(err > 0.0, "LUT grid should differ slightly");
         assert!(err < 0.05, "but only slightly: {err}");
@@ -241,8 +240,12 @@ mod tests {
         let values: Vec<C64> = (0..50).map(|i| C64::new(i as f64, 1.0)).collect();
         let mut a = vec![C64::zeroed(); 64 * 64];
         let mut b = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
-        ExactGridder.grid(&p, &lut, &coords, &values, &mut b);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
+        ExactGridder
+            .grid(&p, &lut, &coords, &values, &mut b)
+            .unwrap();
         let err = crate::metrics::max_abs_err(&a, &b);
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
         assert!(err < 1e-11 * scale.max(1.0), "err {err}");
@@ -255,7 +258,9 @@ mod tests {
         let p = small_params();
         let lut = KernelLut::from_params(&p);
         let mut out = vec![C64::zeroed(); 64 * 64];
-        let stats = SerialGridder.grid(&p, &lut, &[[20.0, 30.0]], &[C64::one()], &mut out);
+        let stats = SerialGridder
+            .grid(&p, &lut, &[[20.0, 30.0]], &[C64::one()], &mut out)
+            .unwrap();
         assert_eq!(stats.kernel_accumulations, 36);
         // Center point (20,30): base = 23, window j = 0..6 covers 23..18;
         // point 20 is j = 3 with offset (3 + 0) − 3 = 0 → peak weight 1².
@@ -272,7 +277,9 @@ mod tests {
         let p = small_params();
         let lut = KernelLut::from_params(&p);
         let mut out = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &[[0.2, 0.2]], &[C64::one()], &mut out);
+        SerialGridder
+            .grid(&p, &lut, &[[0.2, 0.2]], &[C64::one()], &mut out)
+            .unwrap();
         let near: f64 = (0..4)
             .flat_map(|r| (0..4).map(move |c| (r, c)))
             .map(|(r, c)| out[r * 64 + c].re)
@@ -291,11 +298,17 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let (coords, values) = sample_batch::<2>(50, 64.0, 7);
         let mut once = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut once);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut once)
+            .unwrap();
         // Same batch gridded twice into one buffer = 2× the single grid.
         let mut twice = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut twice);
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut twice);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut twice)
+            .unwrap();
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut twice)
+            .unwrap();
         for (a, b) in once.iter().zip(&twice) {
             assert!((b.re - 2.0 * a.re).abs() < 1e-12);
             assert!((b.im - 2.0 * a.im).abs() < 1e-12);
@@ -310,8 +323,12 @@ mod tests {
         let scaled: Vec<C64> = values.iter().map(|v| v.scale(2.5)).collect();
         let mut g1 = vec![C64::zeroed(); 64 * 64];
         let mut g2 = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut g1);
-        SerialGridder.grid(&p, &lut, &coords, &scaled, &mut g2);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut g1)
+            .unwrap();
+        SerialGridder
+            .grid(&p, &lut, &coords, &scaled, &mut g2)
+            .unwrap();
         for (a, b) in g1.iter().zip(&g2) {
             assert!((b.re - 2.5 * a.re).abs() < 1e-10);
         }
@@ -322,7 +339,9 @@ mod tests {
         let p = small_params();
         let lut = KernelLut::from_params(&p);
         let mut out = vec![C64::zeroed(); 64 * 64 * 64];
-        let stats = SerialGridder.grid(&p, &lut, &[[32.0, 32.0, 32.0]], &[C64::one()], &mut out);
+        let stats = SerialGridder
+            .grid(&p, &lut, &[[32.0, 32.0, 32.0]], &[C64::one()], &mut out)
+            .unwrap();
         assert_eq!(stats.kernel_accumulations, 216); // 6³
         assert!((out[32 * 64 * 64 + 32 * 64 + 32].re - 1.0).abs() < 1e-12);
         let total: f64 = out.iter().map(|z| z.re).sum();
@@ -337,11 +356,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid sample batch")]
     fn rejects_nan_coordinate() {
         let p = small_params();
         let lut = KernelLut::from_params(&p);
         let mut out = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &[[f64::NAN, 0.0]], &[C64::one()], &mut out);
+        let got = SerialGridder.grid(&p, &lut, &[[f64::NAN, 0.0]], &[C64::one()], &mut out);
+        assert!(
+            matches!(&got, Err(crate::Error::Data(m)) if m.contains("non-finite coordinate")),
+            "{got:?}"
+        );
     }
 }

@@ -45,11 +45,11 @@ use crate::decomp::Decomposer;
 use crate::engine::{keys, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
+use crate::{Error, Result};
 use jigsaw_num::{Complex, Float};
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::{cancel, faultpoint};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -117,10 +117,8 @@ impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
         coords: &[[f64; D]],
         values: &[Complex<T>],
         out: &mut [Complex<T>],
-    ) -> GridStats {
-        if let Err(e) = validate_batch(p, coords, values, out) {
-            panic!("invalid sample batch: {e}");
-        }
+    ) -> Result<GridStats> {
+        validate_batch(p, coords, values, out)?;
         let _span = telemetry::span!("gridding.slice_dice", {
             dim: D,
             m: coords.len(),
@@ -137,9 +135,9 @@ impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
             SliceDiceMode::BlockReduce => {
                 grid_block_reduce(p, lut, coords, values, out, worker_threads(self.threads))
             }
-        };
+        }?;
         stats.mirror("slice_dice");
-        stats
+        Ok(stats)
     }
 }
 
@@ -172,9 +170,9 @@ impl OwnedRows {
 
 /// One row owner's job: stream the *full* sample stream, expand each
 /// sample's window once, and accumulate its points on owned rows into
-/// `slab`. Shared verbatim by the pooled jobs and the serial fallback, so
-/// every grid point receives the same weight products in sample order
-/// whichever job owns it — the bitwise-equality guarantee rests on this.
+/// `slab`. Every grid point receives the same weight products in sample
+/// order whichever job owns it, or runs it again after a failure — the
+/// bitwise-equality guarantee rests on this.
 fn rows_worker<T: Float, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
@@ -189,8 +187,8 @@ fn rows_worker<T: Float, const D: usize>(
         if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
             // Cooperative cancellation: stop mid-stream. The partial
             // slab is discarded by the budget owner; checkpoints never
-            // panic (a panic would trigger the bitwise serial *retry*
-            // and defeat the cancellation).
+            // panic (a panic would make the pool run the job again and
+            // defeat the cancellation).
             return;
         }
         expand_windows(dec, lut, &dec.decompose_sample(c), &mut wins);
@@ -231,7 +229,7 @@ fn grid_rows<T: Float, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-) -> GridStats {
+) -> Result<GridStats> {
     let dec = Decomposer::new(p);
     let t = p.tile;
     let row_len = p.grid.pow(D as u32 - 1);
@@ -242,7 +240,6 @@ fn grid_rows<T: Float, const D: usize>(
         hi: ((k + 1) * rows_per_job).min(t) as u32,
     };
     let rows_len = p.tiles_per_dim() * row_len;
-    let slab_len = move |rows: OwnedRows| (rows.hi - rows.lo) as usize * rows_len;
 
     let start = Instant::now();
     // Jobs run on the global pool; row slabs come from (and return to) the
@@ -251,11 +248,11 @@ fn grid_rows<T: Float, const D: usize>(
     let coords_shared: Arc<[[f64; D]]> = coords.into();
     let values_shared: Arc<[Complex<T>]> = values.into();
     let lut_shared = lut.clone();
-    let (tx, rx) = channel();
-    let run = pool.try_run(njobs, move |k, arena| {
+    let slabs = pool.map("gridding.slice_dice.columns", njobs, move |k, arena| {
         faultpoint!(crate::fault::GRIDDING_CHUNK);
         let rows = owned(k);
-        let mut slab = arena.take_vec(keys::DICE_COLUMNS, slab_len(rows), Complex::<T>::zeroed());
+        let len = (rows.hi - rows.lo) as usize * rows_len;
+        let mut slab = arena.take_vec(keys::DICE_COLUMNS, len, Complex::<T>::zeroed());
         rows_worker(
             &dec,
             &lut_shared,
@@ -264,32 +261,13 @@ fn grid_rows<T: Float, const D: usize>(
             rows,
             &mut slab,
         );
-        let _ = tx.send((k, slab));
-    });
-    if run.is_err() {
-        // Contained job panic. The trait surface is infallible and slabs
-        // merge only in the drain below (never reached), so `out` is
-        // pristine: redo all rows in one serial pass — bitwise identical,
-        // the partition only decides ownership.
-        crate::engine::note_serial_fallback("gridding.slice_dice.columns");
-        drop(rx);
-        let all = OwnedRows {
-            lo: 0,
-            hi: t as u32,
-        };
-        let mut slab = vec![Complex::<T>::zeroed(); slab_len(all)];
-        rows_worker(&dec, lut, coords, values, all, &mut slab);
-        merge_rows(t, row_len, all, &slab, out);
-    } else {
-        for _ in 0..njobs {
-            let Ok((k, slab)) = rx.recv() else {
-                unreachable!("pooled row job result missing after clean run");
-            };
-            merge_rows(t, row_len, owned(k), &slab, out);
-            pool.restore(k, keys::DICE_COLUMNS, slab);
-        }
+        slab
+    })?;
+    for (k, slab) in slabs.into_iter().enumerate() {
+        merge_rows(t, row_len, owned(k), &slab, out);
+        pool.restore(k, keys::DICE_COLUMNS, slab);
     }
-    slice_dice_stats(p, coords.len(), D, start)
+    Ok(slice_dice_stats(p, coords.len(), D, start))
 }
 
 /// Counters of every Slice-and-Dice mode: `M·T^d` logical select checks
@@ -302,8 +280,6 @@ fn slice_dice_stats(p: &GridParams, m: usize, d: usize, start: Instant) -> GridS
         kernel_accumulations: (m * p.width.pow(d as u32)) as u64,
         presort_seconds: 0.0,
         gridding_seconds: start.elapsed().as_secs_f64(),
-        fft_seconds: 0.0,
-        apod_seconds: 0.0,
     }
 }
 
@@ -411,7 +387,7 @@ fn cas_add_f64(atom: &AtomicU64, v: f64) {
 
 /// One input block's job for the atomic mode: grid a block of samples
 /// into the shared atomic grid. Shared by the pooled jobs and the serial
-/// fallback.
+/// redo after a failed job.
 fn block_atomic_worker<T: AtomicFloat, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
@@ -439,6 +415,13 @@ fn block_atomic_worker<T: AtomicFloat, const D: usize>(
 }
 
 /// Block-parallel execution with atomic accumulation (the GPU scheme).
+///
+/// The one parallel path that does not run through
+/// [`WorkerPool::map`]: its jobs add into one shared grid, so a failed
+/// job cannot be re-run by itself. After a contained job failure it
+/// discards the shared grid and redoes every block in one serial pass
+/// when the fallback is on, and returns `Error::Execution` when it is
+/// off.
 fn grid_block_atomic<T: AtomicFloat, const D: usize>(
     p: &GridParams,
     lut: &KernelLut,
@@ -446,7 +429,7 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-) -> GridStats {
+) -> Result<GridStats> {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
     let start = Instant::now();
@@ -471,21 +454,24 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
             &shared_jobs,
         );
     });
-    if run.is_err() {
-        // Contained job panic. Surviving jobs accumulated into the shared
-        // atomic grid, so discard it wholesale and redo all blocks in one
-        // serial pass over a fresh grid.
-        crate::engine::note_serial_fallback("gridding.slice_dice.atomic");
+    if let Err(failure) = run {
+        const LABEL: &str = "gridding.slice_dice.atomic";
+        if !crate::engine::serial_fallback_enabled() {
+            return Err(Error::Execution(format!("{LABEL}: {failure}")));
+        }
+        // Surviving jobs accumulated into the shared atomic grid, so
+        // discard it wholesale and redo all blocks in one serial pass
+        // over a fresh grid.
+        crate::engine::note_serial_fallback(LABEL);
         shared = Arc::new(T::alloc_grid(npoints));
         block_atomic_worker::<T, D>(&dec, lut, coords, values, &shared);
     }
     T::drain(&shared, out);
-    slice_dice_stats(p, m, D, start)
+    Ok(slice_dice_stats(p, m, D, start))
 }
 
 /// One input block's job for the reduce mode: grid a block of samples
-/// into a private partial grid. Shared by the pooled jobs and the serial
-/// fallback.
+/// into a private partial grid.
 fn block_reduce_worker<T: Float, const D: usize>(
     dec: &Decomposer,
     lut: &KernelLut,
@@ -507,7 +493,8 @@ fn block_reduce_worker<T: Float, const D: usize>(
 /// Block-parallel execution with private grids + deterministic merge.
 ///
 /// The merge runs in block order (`tid` ascending), so for a fixed
-/// `threads` request the result is reproducible — though
+/// `threads` request the result is reproducible, and a failed block's
+/// re-run grids the same samples into the same partial — though
 /// unlike the column modes it is *not* bitwise equal to serial, because
 /// splitting the sample stream reassociates the floating-point sums.
 fn grid_block_reduce<T: Float, const D: usize>(
@@ -517,27 +504,20 @@ fn grid_block_reduce<T: Float, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-) -> GridStats {
+) -> Result<GridStats> {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
     let m = coords.len();
     let nthreads = nthreads.min(m.max(1)).max(1);
     let chunk = m.div_ceil(nthreads);
     let start = Instant::now();
-    let block = move |tid: usize| (tid * chunk).min(m)..((tid + 1) * chunk).min(m);
-    let merge = |out: &mut [Complex<T>], partial: &[Complex<T>]| {
-        for (o, &v) in out.iter_mut().zip(partial) {
-            *o += v;
-        }
-    };
     let pool = WorkerPool::global();
     let coords_shared: Arc<[[f64; D]]> = coords.into();
     let values_shared: Arc<[Complex<T>]> = values.into();
     let lut_shared = lut.clone();
-    let (tx, rx) = channel();
-    let run = pool.try_run(nthreads, move |tid, arena| {
+    let partials = pool.map("gridding.slice_dice.blocks", nthreads, move |tid, arena| {
         faultpoint!(crate::fault::GRIDDING_CHUNK);
-        let r = block(tid);
+        let r = (tid * chunk).min(m)..((tid + 1) * chunk).min(m);
         let mut partial = arena.take_vec(keys::PARTIAL_GRID, npoints, Complex::<T>::zeroed());
         block_reduce_worker::<T, D>(
             &dec,
@@ -546,28 +526,15 @@ fn grid_block_reduce<T: Float, const D: usize>(
             &values_shared[r],
             &mut partial,
         );
-        let _ = tx.send((tid, partial));
-    });
-    if run.is_err() {
-        // Contained job panic. Partials merge into `out` only in the drain
-        // below (never reached), so redo the whole sample range in one
-        // serial block.
-        crate::engine::note_serial_fallback("gridding.slice_dice.blocks");
-        drop(rx);
-        let mut partial = vec![Complex::<T>::zeroed(); npoints];
-        block_reduce_worker::<T, D>(&dec, lut, coords, values, &mut partial);
-        merge(out, &partial);
-    } else {
-        // Deterministic merge: collect all partials, then fold them in
-        // block (tid) order.
-        let mut results: Vec<(usize, Vec<Complex<T>>)> = rx.iter().collect();
-        results.sort_unstable_by_key(|(tid, _)| *tid);
-        for (tid, partial) in results {
-            merge(out, &partial);
-            pool.restore(tid, keys::PARTIAL_GRID, partial);
+        partial
+    })?;
+    for (tid, partial) in partials.into_iter().enumerate() {
+        for (o, &v) in out.iter_mut().zip(&partial) {
+            *o += v;
         }
+        pool.restore(tid, keys::PARTIAL_GRID, partial);
     }
-    slice_dice_stats(p, m, D, start)
+    Ok(slice_dice_stats(p, m, D, start))
 }
 
 #[cfg(test)]
@@ -591,8 +558,12 @@ mod tests {
         let (coords, values) = sample_batch::<2>(400, 64.0, 13);
         let mut a = vec![C64::zeroed(); 64 * 64];
         let mut b = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
-        SliceDiceGridder::new(SliceDiceMode::Serial).grid(&p, &lut, &coords, &values, &mut b);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
+        SliceDiceGridder::new(SliceDiceMode::Serial)
+            .grid(&p, &lut, &coords, &values, &mut b)
+            .unwrap();
         grids_match_bitwise(&a, &b, "slice-dice serial");
     }
 
@@ -602,14 +573,17 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let (coords, values) = sample_batch::<2>(300, 64.0, 99);
         let mut reference = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut reference)
+            .unwrap();
         for threads in [1usize, 2, 7, 64] {
             let mut b = vec![C64::zeroed(); 64 * 64];
             SliceDiceGridder {
                 mode: SliceDiceMode::ColumnParallel,
                 threads: Some(threads),
             }
-            .grid(&p, &lut, &coords, &values, &mut b);
+            .grid(&p, &lut, &coords, &values, &mut b)
+            .unwrap();
             grids_match_bitwise(&reference, &b, &format!("threads={threads}"));
         }
     }
@@ -620,13 +594,16 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let (coords, values) = sample_batch::<2>(500, 64.0, 3);
         let mut a = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
         let mut b = vec![C64::zeroed(); 64 * 64];
         SliceDiceGridder {
             mode: SliceDiceMode::BlockReduce,
             threads: Some(4),
         }
-        .grid(&p, &lut, &coords, &values, &mut b);
+        .grid(&p, &lut, &coords, &values, &mut b)
+        .unwrap();
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
         for (x, y) in a.iter().zip(&b) {
             assert!((*x - *y).abs() < 1e-12 * scale.max(1.0));
@@ -639,13 +616,16 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let (coords, values) = sample_batch::<2>(500, 64.0, 4);
         let mut a = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
         let mut b = vec![C64::zeroed(); 64 * 64];
         SliceDiceGridder {
             mode: SliceDiceMode::BlockAtomic,
             threads: Some(4),
         }
-        .grid(&p, &lut, &coords, &values, &mut b);
+        .grid(&p, &lut, &coords, &values, &mut b)
+        .unwrap();
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
         for (x, y) in a.iter().zip(&b) {
             assert!((*x - *y).abs() < 1e-12 * scale.max(1.0));
@@ -662,13 +642,16 @@ mod tests {
             .map(|v| jigsaw_num::C32::from_c64(*v))
             .collect();
         let mut a = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values64, &mut a);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values64, &mut a)
+            .unwrap();
         let mut b = vec![jigsaw_num::C32::zeroed(); 64 * 64];
         SliceDiceGridder {
             mode: SliceDiceMode::BlockAtomic,
             threads: Some(3),
         }
-        .grid(&p, &lut, &coords, &values32, &mut b);
+        .grid(&p, &lut, &coords, &values32, &mut b)
+        .unwrap();
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
         for (x, y) in a.iter().zip(&b) {
             assert!((*x - y.to_c64()).abs() < 1e-4 * scale.max(1.0));
@@ -681,8 +664,9 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let (coords, values) = sample_batch::<2>(100, 64.0, 6);
         let mut out = vec![C64::zeroed(); 64 * 64];
-        let stats =
-            SliceDiceGridder::new(SliceDiceMode::Serial).grid(&p, &lut, &coords, &values, &mut out);
+        let stats = SliceDiceGridder::new(SliceDiceMode::Serial)
+            .grid(&p, &lut, &coords, &values, &mut out)
+            .unwrap();
         assert_eq!(stats.boundary_checks, 100 * 64); // M·T²
         assert_eq!(stats.kernel_accumulations, 100 * 36); // M·W²
         assert_eq!(stats.samples_processed, 100); // no duplication
@@ -698,12 +682,15 @@ mod tests {
         let n = 32usize.pow(3);
         let mut a = vec![C64::zeroed(); n];
         let mut b = vec![C64::zeroed(); n];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut a);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
         SliceDiceGridder {
             mode: SliceDiceMode::ColumnParallel,
             threads: Some(3),
         }
-        .grid(&p, &lut, &coords, &values, &mut b);
+        .grid(&p, &lut, &coords, &values, &mut b)
+        .unwrap();
         grids_match_bitwise(&a, &b, "3d");
     }
 
@@ -714,8 +701,12 @@ mod tests {
         let (coords, values) = sample_batch::<2>(250, 64.0, 31);
         let mut a = vec![C64::zeroed(); 64 * 64];
         let mut b = vec![C64::zeroed(); 64 * 64];
-        BinnedGridder::default().grid(&p, &lut, &coords, &values, &mut a);
-        SliceDiceGridder::default().grid(&p, &lut, &coords, &values, &mut b);
+        BinnedGridder::default()
+            .grid(&p, &lut, &coords, &values, &mut a)
+            .unwrap();
+        SliceDiceGridder::default()
+            .grid(&p, &lut, &coords, &values, &mut b)
+            .unwrap();
         grids_match_bitwise(&a, &b, "binned vs slice-dice");
     }
 }

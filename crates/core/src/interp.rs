@@ -7,12 +7,16 @@
 //!
 //! Gathering is embarrassingly parallel across samples (pure reads of the
 //! grid), which is why the paper focuses its hardware on the adjoint
-//! direction; we provide serial and sample-parallel engines with the same
-//! shared decomposition so forward/adjoint stay numerically consistent.
+//! direction. [`interpolate`] gathers serially through the same shared
+//! decomposition as the gridders, so forward/adjoint stay numerically
+//! consistent; [`crate::nufft::NufftPlan::forward`] splits the samples
+//! into pool jobs ([`crate::engine::WorkerPool::map`]) that each run it
+//! on one chunk. Each sample's gather is independent, so the split never
+//! changes a bit.
 
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
-use crate::gridding::{expand_windows, worker_threads, DimWindow};
+use crate::gridding::{expand_windows, DimWindow};
 use crate::lut::KernelLut;
 use crate::{Error, Result};
 use jigsaw_num::{Complex, Float};
@@ -93,15 +97,15 @@ pub fn gather_from_windows<T: Float, const D: usize>(
 }
 
 /// Interpolate the oversampled grid at non-uniform coordinates
-/// (oversampled-grid units). `out[i]` receives the gathered value for
-/// `coords[i]` (overwritten, not accumulated).
+/// (oversampled-grid units), serially on the calling thread. `out[i]`
+/// receives the gathered value for `coords[i]` (overwritten, not
+/// accumulated).
 pub fn interpolate<T: Float, const D: usize>(
     p: &GridParams,
     lut: &KernelLut,
     grid: &[Complex<T>],
     coords: &[[f64; D]],
     out: &mut [Complex<T>],
-    threads: Option<usize>,
 ) -> Result<()> {
     if coords.len() != out.len() {
         return Err(Error::Data(format!(
@@ -119,24 +123,10 @@ pub fn interpolate<T: Float, const D: usize>(
         }
     }
     let dec = Decomposer::new(p);
-    let gather = |out: &mut [Complex<T>], coords: &[[f64; D]]| {
-        let mut wins = [DimWindow::default(); D];
-        for (o, c) in out.iter_mut().zip(coords) {
-            expand_windows(&dec, lut, &dec.decompose_sample(c), &mut wins);
-            *o = gather_from_windows(grid, p.grid, p.width, &wins);
-        }
-    };
-    let nthreads = worker_threads(threads).min(out.len().max(1)).max(1);
-    if nthreads == 1 {
-        gather(out, coords);
-    } else {
-        let chunk = out.len().div_ceil(nthreads);
-        let gather = &gather;
-        std::thread::scope(|s| {
-            for (o_chunk, c_chunk) in out.chunks_mut(chunk).zip(coords.chunks(chunk)) {
-                s.spawn(move || gather(o_chunk, c_chunk));
-            }
-        });
+    let mut wins = [DimWindow::default(); D];
+    for (o, c) in out.iter_mut().zip(coords) {
+        expand_windows(&dec, lut, &dec.decompose_sample(c), &mut wins);
+        *o = gather_from_windows(grid, p.grid, p.width, &wins);
     }
     Ok(())
 }
@@ -155,12 +145,12 @@ mod tests {
         let mut grid = vec![C64::zeroed(); 64 * 64];
         grid[20 * 64 + 30] = C64::one();
         let mut out = vec![C64::zeroed(); 1];
-        interpolate(&p, &lut, &grid, &[[20.0, 30.0]], &mut out, Some(1)).unwrap();
+        interpolate(&p, &lut, &grid, &[[20.0, 30.0]], &mut out).unwrap();
         // Sample exactly on the impulse: weight = peak² = 1.
         assert!((out[0].re - 1.0).abs() < 1e-12);
         // Half a grid unit away in x: weight = φ(0.5)·φ(0).
         let k = p.kernel;
-        interpolate(&p, &lut, &grid, &[[20.5, 30.0]], &mut out, Some(1)).unwrap();
+        interpolate(&p, &lut, &grid, &[[20.5, 30.0]], &mut out).unwrap();
         assert!((out[0].re - k.eval(0.5, 6)).abs() < 1e-9);
     }
 
@@ -175,34 +165,18 @@ mod tests {
         let g: Vec<C64> = gvals;
         // A c = gridded samples.
         let mut ac = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut ac);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut ac)
+            .unwrap();
         // Aᴴ g = interpolated grid.
         let mut ahg = vec![C64::zeroed(); coords.len()];
-        interpolate(&p, &lut, &g, &coords, &mut ahg, Some(1)).unwrap();
+        interpolate(&p, &lut, &g, &coords, &mut ahg).unwrap();
         let lhs: C64 = ac.iter().zip(&g).map(|(a, b)| *a * b.conj()).sum();
         let rhs: C64 = values.iter().zip(&ahg).map(|(a, b)| *a * b.conj()).sum();
         assert!(
             (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
         );
-    }
-
-    #[test]
-    fn parallel_matches_serial_gather() {
-        let p = small_params();
-        let lut = KernelLut::from_params(&p);
-        let (gcoords, gvals) = sample_batch::<2>(64 * 64, 64.0, 50);
-        let _ = gcoords;
-        let grid: Vec<C64> = gvals;
-        let (coords, _) = sample_batch::<2>(333, 64.0, 51);
-        let mut a = vec![C64::zeroed(); 333];
-        let mut b = vec![C64::zeroed(); 333];
-        interpolate(&p, &lut, &grid, &coords, &mut a, Some(1)).unwrap();
-        interpolate(&p, &lut, &grid, &coords, &mut b, Some(5)).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
     }
 
     #[test]
@@ -214,7 +188,7 @@ mod tests {
         grid[0] = C64::one(); // impulse at the origin corner
         let mut out = vec![C64::zeroed(); 1];
         // Sample just across the wrap: at (15.6, 0.2, 15.9).
-        interpolate(&p, &lut, &grid, &[[15.6, 0.2, 15.9]], &mut out, Some(1)).unwrap();
+        interpolate(&p, &lut, &grid, &[[15.6, 0.2, 15.9]], &mut out).unwrap();
         assert!(out[0].re > 0.0, "wrapped gather must see the impulse");
     }
 
@@ -224,10 +198,10 @@ mod tests {
         let lut = KernelLut::from_params(&p);
         let grid = vec![C64::zeroed(); 64 * 64];
         let mut out = vec![C64::zeroed(); 2];
-        assert!(interpolate(&p, &lut, &grid, &[[0.0, 0.0]], &mut out, None).is_err());
+        assert!(interpolate(&p, &lut, &grid, &[[0.0, 0.0]], &mut out).is_err());
         let mut out1 = vec![C64::zeroed(); 1];
-        assert!(interpolate(&p, &lut, &grid, &[[f64::INFINITY, 0.0]], &mut out1, None).is_err());
+        assert!(interpolate(&p, &lut, &grid, &[[f64::INFINITY, 0.0]], &mut out1).is_err());
         let small = vec![C64::zeroed(); 10];
-        assert!(interpolate(&p, &lut, &small, &[[0.0, 0.0]], &mut out1, None).is_err());
+        assert!(interpolate(&p, &lut, &small, &[[0.0, 0.0]], &mut out1).is_err());
     }
 }

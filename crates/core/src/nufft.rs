@@ -27,13 +27,20 @@
 //! caller copies the bands into one grid and finishes the transform. A
 //! smaller one-coil batch runs as one coil job.
 //!
+//! Every parallel step dispatches through
+//! [`crate::engine::WorkerPool::map`], which returns the jobs' values in
+//! job order and owns the serial-fallback policy: a failed coil, band or
+//! image job runs again by itself on the calling thread, or the call
+//! returns `Error::Execution` with the fallback off.
+//!
 //! Every uniform FFT runs serially ([`FftNd::process`]) on whichever
 //! thread holds the grid, and so do the apodized embed and the
-//! de-apodized extract around it; a single-image [`NufftPlan::adjoint`] /
-//! [`NufftPlan::forward`] parallelizes only in its gridding engine. On a
-//! 2-vCPU host an FFT split into pool panels was slower than the serial
-//! blocked one at every size `BENCH_fft_scaling.json` records (0.59× its
-//! speed at 256²).
+//! de-apodized extract around it; a single-image [`NufftPlan::adjoint`]
+//! parallelizes only in its gridding engine, and [`NufftPlan::forward`]
+//! only in its gather, one chunk of samples per pool job. On a 2-vCPU
+//! host an FFT split into pool panels was slower than the serial blocked
+//! one at every size `BENCH_fft_scaling.json` records (0.59× its speed at
+//! 256²).
 //!
 //! Conventions (`ν` in cycles, image indices `k ∈ [−N/2, N/2)^d`):
 //!
@@ -43,7 +50,7 @@
 use crate::apod::Apodization;
 use crate::config::{GridParams, NufftConfig};
 use crate::decomp::{Decomposer, DimDecomp};
-use crate::engine::{keys, JobFailure, WorkerPool};
+use crate::engine::{keys, WorkerPool};
 use crate::gridding::slice_dice::CANCEL_CHECK_MASK;
 use crate::gridding::{expand_windows, for_each_point, scatter_rowmajor, DimWindow, Gridder};
 use crate::interp::{self, gather_from_windows};
@@ -54,7 +61,6 @@ use jigsaw_fft::{Direction, FftNd};
 use jigsaw_num::{Complex, Float};
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::{cancel, faultpoint};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -155,9 +161,13 @@ impl<const D: usize> PlannedTrajectory<D> {
 /// 5–35 %.
 const ROW_BAND_MIN_ACCUMULATIONS: u64 = 1 << 19;
 
+/// What a planned adjoint's coil or row-band jobs fall back under
+/// (`engine.fallbacks` flight-recorder detail).
+const ADJOINT_LABEL: &str = "nufft.adjoint_batch_planned";
+
 /// The contiguous rows `[lo, lo + len)` of the slowest grid axis (rows
 /// in 2-D, planes in 3-D, points in 1-D) that one planned scatter job
-/// owns. The serial fallback's one band owns every row.
+/// owns.
 #[derive(Clone, Copy, Debug)]
 struct RowBand {
     lo: u32,
@@ -165,11 +175,6 @@ struct RowBand {
 }
 
 impl RowBand {
-    /// Every row of a `g`-row grid.
-    fn all(g: usize) -> Self {
-        Self::nth(0, 1, g)
-    }
-
     /// Band `b` of `nbands`: rows `[b·g/nbands, (b+1)·g/nbands)`.
     fn nth(b: usize, nbands: usize, g: usize) -> Self {
         let (lo, hi) = (b * g / nbands, (b + 1) * g / nbands);
@@ -186,10 +191,10 @@ impl RowBand {
 /// full grid. Polls cancellation every `CANCEL_CHECK_MASK + 1` samples
 /// and returns `false` if cancelled, leaving `buf` partly written.
 ///
-/// The row-band jobs and the serial fallback (one band of every row)
-/// scatter through here, and a coil job runs the same steps per sample,
-/// so every grid point receives the same `value · (w_y · w_x)` terms in
-/// the same order whichever job owns it: the bitwise-equality guarantee
+/// The row-band jobs scatter through here, and a coil job runs the same
+/// steps per sample, so every grid point receives the same
+/// `value · (w_y · w_x)` terms in the same order whichever job owns it,
+/// or runs it again after a failure: the bitwise-equality guarantee
 /// rests on this.
 fn scatter_planned<T: Float, const D: usize>(
     dec: &Decomposer,
@@ -479,26 +484,18 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         let prep_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let mut grid_stats = gridder.grid(
+        let grid_stats = gridder.grid(
             &self.inner.params,
             &self.inner.lut,
             &mapped,
             values,
             &mut grid,
-        );
+        )?;
         let interp_seconds = t1.elapsed().as_secs_f64();
 
         let (image, mut timings) = self.inner.finish_adjoint(&mut grid)?;
         timings.prep_seconds = prep_seconds;
         timings.interp_seconds = interp_seconds;
-        // Fold the post-gridding stages into the stats so that
-        // `GridStats::total_seconds` matches the end-to-end wall clock
-        // instead of silently dropping the FFT + apodization time. The
-        // two stages are reported separately: the FFT/gridding ratio is
-        // the paper's central statistic and must not be inflated by the
-        // apodization pass.
-        grid_stats.fft_seconds = timings.fft_seconds;
-        grid_stats.apod_seconds = timings.apod_seconds;
         Ok(AdjointOutput {
             image,
             timings,
@@ -539,18 +536,16 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             }
             grid.fill(Complex::zeroed());
             let t1 = Instant::now();
-            let mut grid_stats = gridder.grid(
+            let grid_stats = gridder.grid(
                 &self.inner.params,
                 &self.inner.lut,
                 &mapped,
                 values,
                 &mut grid,
-            );
+            )?;
             let interp_seconds = t1.elapsed().as_secs_f64();
             let (image, mut timings) = self.inner.finish_adjoint(&mut grid)?;
             timings.interp_seconds = interp_seconds;
-            grid_stats.fft_seconds = timings.fft_seconds;
-            grid_stats.apod_seconds = timings.apod_seconds;
             out.push(AdjointOutput {
                 image,
                 timings,
@@ -675,47 +670,29 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             coils: batches.len()
         });
         let split = pool.size() > 1 && self.kernel_accumulations(m) >= ROW_BAND_MIN_ACCUMULATIONS;
-        let dispatched = match batches {
-            [values] if split => self
-                .adjoint_banded(pool, traj, values)
-                .map(|out| out.map(|o| vec![o])),
+        match batches {
+            [values] if split => Ok(vec![self.adjoint_banded(pool, traj, values)?]),
             _ => self.adjoint_coil_jobs(pool, traj, batches),
-        };
-        match dispatched {
-            Ok(out) => out,
-            Err(failure) => {
-                if !crate::engine::serial_fallback_enabled() {
-                    return Err(failure.into());
-                }
-                // A job panicked (contained by the pool, which stays
-                // alive; the poisoned worker's scratch was discarded).
-                // Coil outputs are independent and the scatter consumes
-                // the planned samples in order, so the serial recompute
-                // below is bitwise identical to an unfaulted pooled run.
-                crate::engine::note_serial_fallback("nufft.adjoint_batch_planned");
-                self.adjoint_batch_planned_serial(traj, batches)
-            }
         }
     }
 
-    /// One coil per pooled job: job `c` scatters coil `c` into its
-    /// worker's grid and finishes it there. `Err` if a job failed.
+    /// One coil per pooled job: job `c` scatters coil `c` into a grid
+    /// from its worker's arena, finishes it there and parks the grid
+    /// again.
     fn adjoint_coil_jobs(
         &self,
         pool: &WorkerPool,
         traj: &PlannedTrajectory<D>,
         batches: &[&[Complex<T>]],
-    ) -> std::result::Result<Result<Vec<AdjointOutput<T>>>, JobFailure> {
+    ) -> Result<Vec<AdjointOutput<T>>> {
         let g = self.inner.params.grid;
         let npoints = g.pow(D as u32);
         let m = traj.len();
-        let njobs = batches.len();
         let inner = Arc::clone(&self.inner);
         let decomps = Arc::clone(&traj.decomps);
         let dec = Decomposer::new(&self.inner.params);
         let coils: Vec<Arc<[Complex<T>]>> = batches.iter().map(|b| Arc::from(*b)).collect();
-        let (tx, rx) = channel();
-        pool.try_run(njobs, move |c, arena| {
+        let finished = pool.map(ADJOINT_LABEL, batches.len(), move |c, arena| {
             let _coil_span = telemetry::span!("nufft.coil_adjoint", { coil: c, m: m });
             faultpoint!(crate::fault::NUFFT_COIL);
             let mut grid = arena.take_vec(keys::COIL_GRID, npoints, Complex::<T>::zeroed());
@@ -746,37 +723,28 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                 // recycled like any other buffer.
                 Err(Error::Budget(format!("coil {c} cancelled mid-gridding")))
             };
-            let _ = tx.send((c, grid, finished));
+            arena.give_vec(keys::COIL_GRID, grid);
+            finished
         })?;
-        let mut finished: Vec<Option<_>> = (0..njobs).map(|_| None).collect();
-        for (c, grid, result) in rx.try_iter() {
-            pool.restore(c, keys::COIL_GRID, grid);
-            finished[c] = Some(result);
-        }
-        Ok(finished
+        finished
             .into_iter()
-            .enumerate()
-            .map(|(c, r)| {
-                let (image, timings) = r.ok_or_else(|| {
-                    Error::Execution(format!("coil job {c} never reported a result"))
-                })??;
-                Ok(self.planned_output(m, image, timings))
-            })
-            .collect())
+            .map(|r| r.map(|(image, timings)| self.planned_output(m, image, timings)))
+            .collect()
     }
 
     /// One coil split across the pool: job `b` of `B = min(workers, G)`
     /// scatters the coil onto the rows of band `b`. Band 0 owns row 0
     /// onward, so it scatters in place into a full grid from its worker's
     /// arena; every other band fills a slab of just its rows. The calling
-    /// thread copies the slabs into the grid, finishes it, and gives every
-    /// buffer back to the arena it came from. `Err` if a job failed.
+    /// thread copies the slabs into the grid in band order, finishes it,
+    /// and gives every buffer back to the arena of the worker whose job
+    /// produced it.
     fn adjoint_banded(
         &self,
         pool: &WorkerPool,
         traj: &PlannedTrajectory<D>,
         values: &[Complex<T>],
-    ) -> std::result::Result<Result<AdjointOutput<T>>, JobFailure> {
+    ) -> Result<AdjointOutput<T>> {
         let g = self.inner.params.grid;
         let row_len = g.pow(D as u32 - 1);
         let nbands = pool.size().min(g);
@@ -785,9 +753,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         let decomps = Arc::clone(&traj.decomps);
         let dec = Decomposer::new(&self.inner.params);
         let values: Arc<[Complex<T>]> = Arc::from(values);
-        let (tx, rx) = channel();
         let t1 = Instant::now();
-        pool.try_run(nbands, move |b, arena| {
+        let mut bands = pool.map(ADJOINT_LABEL, nbands, move |b, arena| {
             let band = RowBand::nth(b, nbands, g);
             let _band_span = telemetry::span!("nufft.band_adjoint", {
                 band: b,
@@ -799,25 +766,11 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             let rows = if b == 0 { g } else { band.len as usize };
             let mut buf = arena.take_vec(keys::COIL_GRID, rows * row_len, Complex::<T>::zeroed());
             let done = scatter_planned(&dec, &inner.lut, &decomps, &values, band, &mut buf);
-            let _ = tx.send((b, buf, done));
+            (buf, done)
         })?;
-        let mut grid = None;
-        let mut slabs = Vec::with_capacity(nbands - 1);
-        let mut cancelled = false;
-        for (b, buf, done) in rx.try_iter() {
-            cancelled |= !done;
-            if b == 0 {
-                grid = Some(buf);
-            } else {
-                slabs.push((b, buf));
-            }
-        }
-        let Some(mut grid) = grid else {
-            return Ok(Err(Error::Execution(
-                "row band 0 never reported its grid".into(),
-            )));
-        };
-        for (b, slab) in slabs {
+        let cancelled = bands.iter().any(|&(_, done)| !done);
+        let (mut grid, _) = bands.remove(0);
+        for (b, (slab, _)) in (1..).zip(bands) {
             let start = RowBand::nth(b, nbands, g).lo as usize * row_len;
             grid[start..start + slab.len()].copy_from_slice(&slab);
             pool.restore(b, keys::COIL_GRID, slab);
@@ -829,42 +782,9 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             self.inner.finish_adjoint(&mut grid)
         };
         pool.restore(0, keys::COIL_GRID, grid);
-        Ok(finished.map(|(image, mut timings)| {
-            timings.interp_seconds = interp_seconds;
-            self.planned_output(m, image, timings)
-        }))
-    }
-
-    /// Single-threaded recompute of [`Self::adjoint_batch_planned`] — the
-    /// graceful-degradation path after a pooled job fails. Bitwise
-    /// identical to the pooled path: the scatter consumes the planned
-    /// samples in order, and every post-gridding stage runs the same
-    /// operations on any thread.
-    fn adjoint_batch_planned_serial(
-        &self,
-        traj: &PlannedTrajectory<D>,
-        batches: &[&[Complex<T>]],
-    ) -> Result<Vec<AdjointOutput<T>>> {
-        let g = self.inner.params.grid;
-        let m = traj.len();
-        let (dec, lut) = (Decomposer::new(&self.inner.params), &self.inner.lut);
-        let mut grid = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
-        batches
-            .iter()
-            .enumerate()
-            .map(|(c, values)| {
-                let _coil_span = telemetry::span!("nufft.coil_adjoint", { coil: c, m: m });
-                grid.fill(Complex::zeroed());
-                let t1 = Instant::now();
-                if !scatter_planned(&dec, lut, &traj.decomps, values, RowBand::all(g), &mut grid) {
-                    return Err(Error::Budget(format!("coil {c} cancelled mid-gridding")));
-                }
-                let interp_seconds = t1.elapsed().as_secs_f64();
-                let (image, mut timings) = self.inner.finish_adjoint(&mut grid)?;
-                timings.interp_seconds = interp_seconds;
-                Ok(self.planned_output(m, image, timings))
-            })
-            .collect()
+        let (image, mut timings) = finished?;
+        timings.interp_seconds = interp_seconds;
+        Ok(self.planned_output(m, image, timings))
     }
 
     /// The kernel accumulations a scatter of `m` samples does: `M·W^D`.
@@ -891,8 +811,6 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                 kernel_accumulations: self.kernel_accumulations(m),
                 presort_seconds: 0.0,
                 gridding_seconds: timings.interp_seconds,
-                fft_seconds: timings.fft_seconds,
-                apod_seconds: timings.apod_seconds,
             },
         }
     }
@@ -934,13 +852,12 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             dim: D,
             images: njobs
         });
-        let pool = WorkerPool::global();
         let inner = Arc::clone(&self.inner);
         let decomps = Arc::clone(&traj.decomps);
         let dec = Decomposer::new(&self.inner.params);
         let imgs: Vec<Arc<[Complex<T>]>> = images.iter().map(|b| Arc::from(*b)).collect();
-        let (tx, rx) = channel();
-        let run = pool.try_run(njobs, move |j, arena| {
+        let pool = WorkerPool::global();
+        let out = pool.map("nufft.forward_batch_planned", njobs, move |j, arena| {
             let _img_span = telemetry::span!("nufft.coil_forward", { image: j });
             faultpoint!(crate::fault::NUFFT_COIL);
             let mut grid = arena.take_vec(keys::COIL_GRID, npoints, Complex::<T>::zeroed());
@@ -968,86 +885,11 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                 samples.push(gather_from_windows::<T, D>(&grid, g, w, &wins));
             }
             let interp_seconds = t2.elapsed().as_secs_f64();
-            let result = if cancelled_early {
-                Err(Error::Budget(format!("image {j} cancelled mid-gather")))
-            } else {
-                Ok(ForwardOutput {
-                    samples,
-                    timings: StageTimings {
-                        prep_seconds: 0.0,
-                        interp_seconds,
-                        fft_seconds,
-                        apod_seconds,
-                    },
-                })
-            };
-            let _ = tx.send((j, grid, result));
-        });
-        if let Err(failure) = run {
-            if !crate::engine::serial_fallback_enabled() {
-                return Err(failure.into());
+            arena.give_vec(keys::COIL_GRID, grid);
+            if cancelled_early {
+                return Err(Error::Budget(format!("image {j} cancelled mid-gather")));
             }
-            crate::engine::note_serial_fallback("nufft.forward_batch_planned");
-            drop(rx);
-            return self.forward_batch_planned_serial(images, traj);
-        }
-
-        let mut out: Vec<Option<ForwardOutput<T>>> = (0..njobs).map(|_| None).collect();
-        for _ in 0..njobs {
-            let (j, grid, fwd) = rx.recv().map_err(|_| {
-                Error::Execution("planned forward job result channel closed".into())
-            })?;
-            pool.restore(j, keys::COIL_GRID, grid);
-            out[j] = Some(fwd?);
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(j, r)| {
-                r.ok_or_else(|| Error::Execution(format!("image job {j} never reported a result")))
-            })
-            .collect()
-    }
-
-    /// Single-threaded recompute of [`Self::forward_batch_planned`] — the
-    /// graceful-degradation path after a pooled image job fails. Mirrors
-    /// the job body exactly (serial embed, serial FFT, windowed gather in
-    /// sample order), so outputs are bitwise identical to an unfaulted
-    /// pooled run.
-    fn forward_batch_planned_serial(
-        &self,
-        images: &[&[Complex<T>]],
-        traj: &PlannedTrajectory<D>,
-    ) -> Result<Vec<ForwardOutput<T>>> {
-        let g = self.inner.params.grid;
-        let w = self.inner.params.width;
-        let npoints = g.pow(D as u32);
-        let dec = Decomposer::new(&self.inner.params);
-        let mut grid = vec![Complex::<T>::zeroed(); npoints];
-        let mut wins = [DimWindow::default(); D];
-        let mut out = Vec::with_capacity(images.len());
-        for (j, img) in images.iter().enumerate() {
-            let _img_span = telemetry::span!("nufft.coil_forward", { image: j });
-            grid.fill(Complex::zeroed());
-            let t0 = Instant::now();
-            self.inner.embed_apodized(img, &mut grid);
-            let apod_seconds = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            {
-                let _fft_span = telemetry::span!("fft.process", { points: npoints });
-                self.inner.fft.process(&mut grid, Direction::Forward);
-            }
-            let fft_seconds = t1.elapsed().as_secs_f64();
-            let t2 = Instant::now();
-            let samples: Vec<Complex<T>> = traj
-                .decomps
-                .iter()
-                .map(|dds| {
-                    expand_windows(&dec, &self.inner.lut, dds, &mut wins);
-                    gather_from_windows::<T, D>(&grid, g, w, &wins)
-                })
-                .collect();
-            let interp_seconds = t2.elapsed().as_secs_f64();
-            out.push(ForwardOutput {
+            Ok(ForwardOutput {
                 samples,
                 timings: StageTimings {
                     prep_seconds: 0.0,
@@ -1055,9 +897,9 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                     fft_seconds,
                     apod_seconds,
                 },
-            });
-        }
-        Ok(out)
+            })
+        })?;
+        out.into_iter().collect()
     }
 
     /// The adjoint NuFFT's post-gridding stages: uniform FFT over an
@@ -1074,8 +916,19 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         self.inner.finish_adjoint(grid)
     }
 
-    /// Forward NuFFT: `[N; D]` image → non-uniform samples.
+    /// Forward NuFFT: `[N; D]` image → non-uniform samples. The gather
+    /// runs one chunk of samples per job of the global pool.
     pub fn forward(&self, image: &[Complex<T>], coords: &[[f64; D]]) -> Result<ForwardOutput<T>> {
+        self.forward_with(WorkerPool::global(), image, coords)
+    }
+
+    /// [`Self::forward`] with the gather jobs on `pool`.
+    fn forward_with(
+        &self,
+        pool: &WorkerPool,
+        image: &[Complex<T>],
+        coords: &[[f64; D]],
+    ) -> Result<ForwardOutput<T>> {
         let n = self.inner.cfg.n;
         let g = self.inner.params.grid;
         if image.len() != n.pow(D as u32) {
@@ -1086,11 +939,12 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                 D
             )));
         }
+        Self::check_finite(coords)?;
 
         let _span = telemetry::span!("nufft.forward", { dim: D, m: coords.len() });
         // Pre-apodize and embed into the zero-padded oversampled grid,
         // then FFT, both serially on the calling thread; only the
-        // interpolation below may fan out.
+        // interpolation below fans out.
         let t0 = Instant::now();
         let mut grid = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
         self.inner.embed_apodized(image, &mut grid);
@@ -1104,19 +958,27 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         let fft_seconds = t1.elapsed().as_secs_f64();
 
         let t2 = Instant::now();
-        let mapped = self.inner.map_coords(coords);
+        let mapped = Arc::new(self.inner.map_coords(coords));
         let prep_seconds = t2.elapsed().as_secs_f64();
 
+        // Job `j` gathers samples `[j·M/J, (j+1)·M/J)` from the shared
+        // grid; each sample's gather is independent, so the split never
+        // changes a bit.
         let t3 = Instant::now();
-        let mut samples = vec![Complex::<T>::zeroed(); coords.len()];
-        interp::interpolate(
-            &self.inner.params,
-            &self.inner.lut,
-            &grid,
-            &mapped,
-            &mut samples,
-            None,
-        )?;
+        let m = coords.len();
+        let njobs = pool.size().min(m);
+        let inner = Arc::clone(&self.inner);
+        let grid = Arc::new(grid);
+        let chunks = pool.map("nufft.forward", njobs, move |j, _arena| {
+            let chunk = &mapped[j * m / njobs..(j + 1) * m / njobs];
+            let mut out = vec![Complex::<T>::zeroed(); chunk.len()];
+            interp::interpolate(&inner.params, &inner.lut, &grid, chunk, &mut out)?;
+            Ok(out)
+        })?;
+        let mut samples = Vec::with_capacity(m);
+        for chunk in chunks {
+            samples.extend(chunk?);
+        }
         let interp_seconds = t3.elapsed().as_secs_f64();
 
         Ok(ForwardOutput {
@@ -1421,6 +1283,29 @@ mod tests {
     }
 
     #[test]
+    fn pooled_forward_gather_is_bitwise_serial_on_every_pool() {
+        let n = 16;
+        let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(n)).unwrap();
+        let image = test_values(n * n, 160);
+        // 333 samples: 3 and 4 jobs split them unevenly.
+        let coords = test_coords(333, 161);
+        // The serial gather from the same embedded, transformed grid.
+        let inner = &plan.inner;
+        let mut grid = vec![C64::zeroed(); inner.params.grid.pow(2)];
+        inner.embed_apodized(&image, &mut grid);
+        inner.fft.process(&mut grid, Direction::Forward);
+        let mapped = inner.map_coords(&coords);
+        let mut want = vec![C64::zeroed(); coords.len()];
+        interp::interpolate(&inner.params, &inner.lut, &grid, &mapped, &mut want).unwrap();
+        for workers in 1..=4 {
+            let pool = WorkerPool::new(workers);
+            let got = plan.forward_with(&pool, &image, &coords).unwrap();
+            assert!(bits_eq(&got.samples, &want), "{workers} workers");
+            assert_eq!(pool.worker_job_counts(), vec![1; workers]);
+        }
+    }
+
+    #[test]
     fn rejects_bad_data() {
         let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(16)).unwrap();
         assert!(plan.adjoint(&[[0.0, 0.0]], &[], &SerialGridder).is_err());
@@ -1497,8 +1382,7 @@ mod tests {
             let what = format!("D = {D}, N = {n}, {} workers", pool.size());
             let got = plan
                 .adjoint_banded(pool, &traj, &values)
-                .unwrap_or_else(|f| panic!("{what}: {f:?}"))
-                .unwrap();
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
             assert!(bits_eq(&got.image, &want.image), "{what}");
             assert_eq!(
                 got.grid_stats.kernel_accumulations, want.grid_stats.kernel_accumulations,
@@ -1532,9 +1416,10 @@ mod tests {
     #[test]
     fn one_coil_row_bands_are_bitwise_serial_on_every_pool() {
         // A band job that panics (on an out-of-band write, say) fails
-        // the property: the band path has no serial fallback of its own.
-        // The fault guard keeps every test that arms a fault from running
-        // meanwhile, so no armed fire lands in a band job here.
+        // the property: its re-run on the calling thread panics again,
+        // and the call returns `Error::Execution`. The fault guard keeps
+        // every test that arms a fault or turns the fallback off from
+        // running meanwhile.
         let _lock = crate::fault::test_guard();
         let pools = band_pools();
         // D = 1, 2 and 3 over every window base. N = 8 gives G = 16:

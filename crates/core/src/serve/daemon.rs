@@ -4,7 +4,7 @@
 //! Transport is either a local Unix socket ([`serve_unix`], one reader
 //! thread per connection) or the process's stdin/stdout
 //! ([`serve_stdio`], the fallback framing for environments without
-//! sockets). Both feed the same [`JobQueue`]; `--jobs` executor threads
+//! sockets). Both feed the same `JobQueue`; `--jobs` executor threads
 //! pop jobs (high priority first, FIFO within a class), run them through
 //! the shared [`ServeEngine`], and write the tagged response frame back
 //! to the submitting connection.

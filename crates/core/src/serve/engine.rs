@@ -428,14 +428,16 @@ mod tests {
         let gate = Arc::clone(&release);
         let holder = std::thread::spawn(move || {
             // Job `j` runs on worker `j % size`: one blocker per worker.
-            crate::engine::WorkerPool::global().run(workers, move |_, _| {
-                let _ = held_tx.send(());
-                let (open, cv) = &*gate;
-                let mut open = open.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            });
+            crate::engine::WorkerPool::global()
+                .map("test.hold", workers, move |_, _| {
+                    let _ = held_tx.send(());
+                    let (open, cv) = &*gate;
+                    let mut open = open.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                })
+                .unwrap();
         });
         for _ in 0..workers {
             held_rx.recv().unwrap();

@@ -523,7 +523,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 }
 
 /// Write one frame and flush. The bulk arrays are converted to
-/// little-endian bytes one [`STAGE_BYTES`] stage at a time, so no
+/// little-endian bytes one `STAGE_BYTES` (64 KiB) stage at a time, so no
 /// payload-sized buffer is ever allocated.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, frame: &Frame) -> io::Result<()> {
     write_staged(w, &head(frame), frame)?;

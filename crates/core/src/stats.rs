@@ -36,24 +36,14 @@ pub struct GridStats {
     pub presort_seconds: f64,
     /// Seconds spent in the gridding pass proper.
     pub gridding_seconds: f64,
-    /// Seconds spent in the uniform FFT stage of the surrounding NuFFT
-    /// (zero for a bare gridding call). Populated by the NuFFT plan so
-    /// per-phase times add up to the end-to-end wall clock instead of
-    /// silently dropping the FFT. Strictly the FFT itself — apodization
-    /// is reported separately in [`GridStats::apod_seconds`], because the
-    /// FFT/gridding time ratio is the paper's central statistic and
-    /// folding apodization in would inflate it.
-    pub fft_seconds: f64,
-    /// Seconds spent in apodization correction + grid extraction or
-    /// embedding around the FFT (zero for a bare gridding call).
-    pub apod_seconds: f64,
 }
 
 impl GridStats {
-    /// Total wall-clock seconds across all recorded phases
-    /// (presort + gridding + FFT + apodization).
+    /// Total wall-clock seconds of the gridding call (presort +
+    /// gridding). A NuFFT's FFT and apodization times are in its
+    /// [`crate::nufft::StageTimings`].
     pub fn total_seconds(&self) -> f64 {
-        self.presort_seconds + self.gridding_seconds + self.fft_seconds + self.apod_seconds
+        self.presort_seconds + self.gridding_seconds
     }
 
     /// Duplicate sample-processing factor (1.0 = no duplication).
@@ -87,12 +77,6 @@ impl GridStats {
         let h = |metric: &str| registry.histogram(&format!("grid.{engine}.{metric}"));
         h("presort_ns").record(secs_to_ns(self.presort_seconds));
         h("gridding_ns").record(secs_to_ns(self.gridding_seconds));
-        if self.fft_seconds > 0.0 {
-            h("fft_ns").record(secs_to_ns(self.fft_seconds));
-        }
-        if self.apod_seconds > 0.0 {
-            h("apod_ns").record(secs_to_ns(self.apod_seconds));
-        }
     }
 }
 
@@ -121,11 +105,9 @@ mod tests {
         let s = GridStats {
             presort_seconds: 0.5,
             gridding_seconds: 1.0,
-            fft_seconds: 0.25,
-            apod_seconds: 0.125,
             ..Default::default()
         };
-        assert_eq!(s.total_seconds(), 1.875);
+        assert_eq!(s.total_seconds(), 1.5);
     }
 
     #[test]
@@ -137,8 +119,6 @@ mod tests {
             kernel_accumulations: 147_456,
             presort_seconds: 0.001,
             gridding_seconds: 0.002,
-            fft_seconds: 0.0005,
-            apod_seconds: 0.0002,
         };
         let reg = telemetry::Registry::new();
         s.mirror_to(&reg, "binned");
@@ -157,28 +137,5 @@ mod tests {
         let h = snap.histogram("grid.binned.gridding_ns").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 2 * 2_000_000);
-        assert_eq!(
-            snap.histogram("grid.binned.fft_ns").map(|h| h.sum),
-            Some(2 * 500_000)
-        );
-        assert_eq!(
-            snap.histogram("grid.binned.apod_ns").map(|h| h.sum),
-            Some(2 * 200_000)
-        );
-    }
-
-    #[test]
-    fn mirror_skips_fft_histogram_for_bare_gridding() {
-        let s = GridStats {
-            samples: 1,
-            gridding_seconds: 0.001,
-            ..Default::default()
-        };
-        let reg = telemetry::Registry::new();
-        s.mirror_to(&reg, "naive");
-        let snap = reg.snapshot();
-        assert!(snap.histogram("grid.naive.fft_ns").is_none());
-        assert!(snap.histogram("grid.naive.apod_ns").is_none());
-        assert!(snap.histogram("grid.naive.gridding_ns").is_some());
     }
 }

@@ -17,15 +17,18 @@
 //!
 //! The hot path is engineered for the CG inner loop:
 //!
-//! * Each image of a batch is one [`WorkerPool::try_run`] job — on the
+//! * Each image of a batch is one [`WorkerPool::map`] job — on the
 //!   shared global pool unless [`ToeplitzOperator::apply_with`] names
 //!   another — that runs the whole convolution serially, so the coils of a
 //!   SENSE normal-operator application spread over the workers. A job's
 //!   `(2N)^d` pad grid is recycled in its worker's scratch arena under
-//!   [`keys::COIL_GRID`]. A contained job panic takes the engine's
-//!   serial-fallback policy: the missing images are recomputed on the
+//!   [`keys::COIL_GRID`]. A contained job panic takes `map`'s
+//!   serial-fallback policy: the failed coil's job runs again on the
 //!   calling thread (bitwise identical, counted once in
 //!   `engine.fallbacks`), or `Error::Execution` with the fallback off.
+//!   Job `c` takes image `c` out of its slot, so a re-run finds the slot
+//!   empty if the failed attempt got that far, and fails closed with
+//!   `Error::Execution` instead of convolving anything else.
 //! * Inside a job both FFTs run serially ([`FftNd::process`]), and so
 //!   does the build's one torus FFT: the coils already keep the workers
 //!   busy.
@@ -47,7 +50,6 @@ use jigsaw_fft::{Direction, FftNd};
 use jigsaw_num::C64;
 use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::faultpoint;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 
 /// A precomputed NuFFT normal operator `x ↦ AᴴA x`.
@@ -300,42 +302,20 @@ impl<const D: usize> ToeplitzOperator<D> {
         let images: Vec<Mutex<Option<Vec<C64>>>> =
             xs.iter().map(|x| Mutex::new(Some(x.to_vec()))).collect();
         let kernel = Arc::clone(&self.kernel);
-        let (tx, rx) = channel();
-        let run = pool.try_run(xs.len(), move |c, arena| {
-            let Some(mut image) = images[c].lock().unwrap_or_else(|e| e.into_inner()).take() else {
-                return;
-            };
-            let len = kernel.psf_hat.len();
-            let mut pad = arena.take_vec(keys::COIL_GRID, len, C64::zeroed());
+        pool.map("toeplitz.apply_batch", xs.len(), move |c, arena| {
+            let taken = images[c].lock().unwrap_or_else(|e| e.into_inner()).take();
+            let mut image = taken.ok_or_else(|| {
+                Error::Execution(format!(
+                    "Toeplitz coil {c}: its image went with the failed attempt"
+                ))
+            })?;
+            let mut pad = arena.take_vec(keys::COIL_GRID, kernel.psf_hat.len(), C64::zeroed());
             kernel.convolve(&mut image, &mut pad);
             arena.give_vec(keys::COIL_GRID, pad);
-            let _ = tx.send((c, image));
-        });
-        if let Err(e) = run {
-            if !crate::engine::serial_fallback_enabled() {
-                return Err(Error::Execution(format!("Toeplitz coil job failed: {e}")));
-            }
-            crate::engine::note_serial_fallback("toeplitz.apply_batch");
-        }
-        let mut outs: Vec<Option<Vec<C64>>> = xs.iter().map(|_| None).collect();
-        for (c, image) in rx.try_iter() {
-            outs[c] = Some(image);
-        }
-        // A failed job returned nothing: recompute its image here. Each
-        // convolution is independent and runs the same operations on any
-        // thread, so the result is bitwise identical to the pooled one.
-        let mut pad = Vec::new();
-        for (out, x) in outs.iter_mut().zip(xs) {
-            if out.is_some() {
-                continue;
-            }
-            pad.clear();
-            pad.resize(self.kernel.psf_hat.len(), C64::zeroed());
-            let mut image = x.to_vec();
-            self.kernel.convolve(&mut image, &mut pad);
-            *out = Some(image);
-        }
-        Ok(outs.into_iter().flatten().collect())
+            Ok(image)
+        })?
+        .into_iter()
+        .collect()
     }
 
     fn check_image(&self, x: &[C64]) -> Result<()> {

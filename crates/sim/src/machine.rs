@@ -565,7 +565,9 @@ mod tests {
         let run = hw.run(&stream);
         let hw_grid = run.grid_c64(scale);
         let mut reference = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&params, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&params, &lut, &coords, &values, &mut reference)
+            .unwrap();
         let err = rel_l2(&hw_grid, &reference);
         assert!(err < 2e-3, "fixed-point grid error vs f64: {err}");
         assert_eq!(run.report.ops.saturations, 0);
@@ -608,7 +610,9 @@ mod tests {
         let params = JigsawConfig::small(64).grid_params();
         let lut = KernelLut::from_params(&params);
         let mut reference = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&params, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&params, &lut, &coords, &values, &mut reference)
+            .unwrap();
         let mut errs = Vec::new();
         for round in [jigsaw_fixed::Round::Nearest, jigsaw_fixed::Round::Truncate] {
             let mut cfg = JigsawConfig::small(64);
@@ -673,7 +677,9 @@ mod tests {
         let (stream, scale) = hw.quantize_inputs(&coords, &values).unwrap();
         let hw_grid = hw.run(&stream).grid_c64(scale);
         let mut reference = vec![C64::zeroed(); 64 * 64];
-        SerialGridder.grid(&params, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&params, &lut, &coords, &values, &mut reference)
+            .unwrap();
         let err = rel_l2(&hw_grid, &reference);
         assert!(err < 2e-3, "wrap error {err}");
     }

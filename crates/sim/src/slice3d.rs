@@ -312,7 +312,9 @@ mod tests {
         let run = hw.run(&stream, false);
         let hw_grid = run.grid_c64(scale);
         let mut reference = vec![C64::zeroed(); 16 * 16 * 16];
-        SerialGridder.grid(&params, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&params, &lut, &coords, &values, &mut reference)
+            .unwrap();
         let err = rel_l2(&hw_grid, &reference);
         assert!(err < 5e-3, "3-D fixed-point error vs f64: {err}");
     }

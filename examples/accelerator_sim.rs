@@ -63,7 +63,9 @@ fn main() {
     let params = plan.grid_params().clone();
     let lut = KernelLut::from_params(&params);
     let mut reference = vec![C64::zeroed(); g * g];
-    SerialGridder.grid(&params, &lut, &mapped, &values, &mut reference);
+    SerialGridder
+        .grid(&params, &lut, &mapped, &values, &mut reference)
+        .unwrap();
     let hw_grid = run.grid_c64(scale);
     println!(
         "fixed-point grid error vs f64 reference: {:.2e}",

@@ -75,7 +75,9 @@ fn main() {
     };
     let lut = KernelLut::from_params(&params);
     let mut reference = vec![C64::zeroed(); g * g * g];
-    SliceDiceGridder::default().grid(&params, &lut, &mapped, &values, &mut reference);
+    SliceDiceGridder::default()
+        .grid(&params, &lut, &mapped, &values, &mut reference)
+        .unwrap();
     let err = rel_l2(&unsorted.grid_c64(scale), &reference);
     println!("fixed-point 3-D grid error vs f64 software: {err:.2e}");
 }

@@ -7,9 +7,10 @@
 //!    panic surfaces as `Err(Error::Execution(..))`; nothing panics or
 //!    hangs, and the same global pool completes a subsequent clean run.
 //! 2. **Degradation** — with the fallback enabled (the default), the
-//!    same injected panic degrades to a serial retry whose output is
-//!    *bitwise identical* to an unfaulted pooled run, counted in the
-//!    `engine.fallbacks` metric.
+//!    same injected panic degrades: the failed jobs run again on the
+//!    calling thread, the output is *bitwise identical* to an unfaulted
+//!    pooled run, and the call counts once in the `engine.fallbacks`
+//!    metric.
 //! 3. **Numerical containment** — the `recon.cg_iter` site poisons a CG
 //!    residual instead of panicking; the solver returns its best iterate
 //!    with a `NonFinite` diagnostic.
@@ -20,7 +21,9 @@
 
 use jigsaw::core::engine::{set_serial_fallback, WorkerPool};
 use jigsaw::core::fault;
-use jigsaw::core::gridding::SliceDiceGridder;
+use jigsaw::core::gridding::{
+    BinnedGridder, Gridder, NaiveOutputGridder, SliceDiceGridder, SliceDiceMode,
+};
 use jigsaw::core::recon::{
     cg_reconstruct, cg_reconstruct_with, CgDiagnostic, CgOptions, NormalOpKind,
 };
@@ -141,9 +144,9 @@ fn strict_mode_surfaces_execution_errors_and_pool_survives() {
 
 /// Contract 2: with the fallback enabled, a fault at each pool-level
 /// site — in one job, or in every job of the dispatch — degrades to a
-/// serial retry that is bitwise identical to the unfaulted pooled run
-/// and counts once per call in `engine.fallbacks`, not once per failed
-/// job.
+/// re-run of the failed jobs on the calling thread that is bitwise
+/// identical to the unfaulted pooled run and counts once per call in
+/// `engine.fallbacks`, not once per failed job.
 #[test]
 fn fallback_output_is_bitwise_identical_and_counted() {
     let _lock = test_guard();
@@ -185,8 +188,9 @@ fn fallback_output_is_bitwise_identical_and_counted() {
 /// Contracts 1 + 2 for the Toeplitz coil jobs: an `engine.dispatch` fault
 /// in one coil's job of `apply_batch` surfaces as `Error::Execution` with
 /// the fallback disabled, leaving the operator usable, and with the
-/// fallback enabled degrades to a serial recompute that is bitwise
-/// identical and counted once in `engine.fallbacks`.
+/// fallback enabled degrades to a re-run of that coil's job on the
+/// calling thread that is bitwise identical and counted once in
+/// `engine.fallbacks`.
 #[test]
 fn toeplitz_coil_job_fault_strict_errors_then_fallback_matches() {
     let _lock = test_guard();
@@ -240,46 +244,109 @@ fn toeplitz_coil_job_fault_strict_errors_then_fallback_matches() {
         .expect("the fallback must absorb a coil-job fault");
     assert_eq!(fires(), 1, "engine.dispatch must actually fire");
     disarm();
-    assert!(
-        same(&degraded),
-        "the serial recompute must be bitwise identical"
-    );
+    assert!(same(&degraded), "the re-run must be bitwise identical");
     assert_eq!(fallbacks(), before + 1, "engine.fallbacks must count once");
 }
 
-/// Contract 2 for the pooled gridding engines: a fault in a gridding
-/// chunk job degrades to a bitwise-identical serial regrid.
+/// The pooled gridding engines the gridding contracts drive, by name.
+/// Block-reduce splits the samples into four blocks on any host.
+fn pooled_gridders() -> [(&'static str, Box<dyn Gridder<f64, 2>>); 4] {
+    [
+        ("column-parallel", Box::new(SliceDiceGridder::default())),
+        (
+            "block-reduce",
+            Box::new(SliceDiceGridder {
+                mode: SliceDiceMode::BlockReduce,
+                threads: Some(4),
+            }),
+        ),
+        ("binned", Box::new(BinnedGridder::default())),
+        ("naive", Box::new(NaiveOutputGridder::default())),
+    ]
+}
+
+/// Radial samples with distinct values, for the gridding contracts.
+fn gridding_problem() -> (NufftPlan<f64, 2>, Vec<[f64; 2]>, Vec<C64>) {
+    let (plan, coords, _) = coil_problem(16, 1);
+    let values = (0..coords.len())
+        .map(|i| C64::new(0.02 * i as f64, -0.5))
+        .collect();
+    (plan, coords, values)
+}
+
+/// Contract 2 for the pooled gridding engines: a fault in one gridding
+/// chunk job degrades to a re-run of that job alone, so each engine's
+/// image is bitwise identical to its own unfaulted pooled run, and the
+/// call counts once in `engine.fallbacks`.
 #[test]
 fn gridding_chunk_fault_degrades_bitwise() {
     let _lock = test_guard();
     let _policy = PolicyGuard;
     telemetry::set_enabled(true);
-    let (plan, coords, _) = coil_problem(16, 1);
-    let values: Vec<C64> = coords
-        .iter()
-        .enumerate()
-        .map(|(i, _)| C64::new(0.02 * i as f64, -0.5))
-        .collect();
-    let gridder = SliceDiceGridder::default(); // pooled column-parallel
-    let baseline = plan.adjoint(&coords, &values, &gridder).unwrap().image;
+    let (plan, coords, values) = gridding_problem();
+    let fallbacks = || {
+        telemetry::global()
+            .snapshot()
+            .counter("engine.fallbacks")
+            .unwrap_or(0)
+    };
+    for (name, gridder) in pooled_gridders() {
+        let baseline = plan.adjoint(&coords, &values, &*gridder).unwrap().image;
+        let before = fallbacks();
+        arm(FaultPlan::once_at(fault::GRIDDING_CHUNK));
+        let faulted = plan
+            .adjoint(&coords, &values, &*gridder)
+            .unwrap_or_else(|e| panic!("{name}: fallback must absorb the fault: {e}"))
+            .image;
+        assert_eq!(fires(), 1, "{name}: gridding.chunk must actually fire");
+        disarm();
+        assert!(
+            bits_eq(&baseline, &faulted),
+            "{name}: gridding fallback must be bitwise identical"
+        );
+        assert_eq!(fallbacks(), before + 1, "{name}: one fallback per call");
+    }
+}
 
-    let before = telemetry::global()
-        .snapshot()
-        .counter("engine.fallbacks")
-        .unwrap_or(0);
-    arm(FaultPlan::once_at(fault::GRIDDING_CHUNK));
-    let faulted = plan.adjoint(&coords, &values, &gridder).unwrap().image;
-    assert_eq!(fires(), 1, "gridding.chunk must actually fire");
-    disarm();
-    assert!(
-        bits_eq(&baseline, &faulted),
-        "gridding fallback must be bitwise identical"
-    );
-    let after = telemetry::global()
-        .snapshot()
-        .counter("engine.fallbacks")
-        .unwrap_or(0);
-    assert!(after > before, "engine.fallbacks must increment");
+/// Contract 1 for the gridding engines: with the fallback disabled, a
+/// fault in a gridding chunk job returns `Err(Error::Execution)` from
+/// the adjoint — block-atomic included — and a clean rerun matches the
+/// unfaulted one.
+#[test]
+fn gridding_chunk_fault_strict_surfaces_execution_error() {
+    let _lock = test_guard();
+    let _policy = PolicyGuard;
+    let (plan, coords, values) = gridding_problem();
+    let atomic = SliceDiceGridder {
+        mode: SliceDiceMode::BlockAtomic,
+        threads: Some(4),
+    };
+    let mut gridders = Vec::from(pooled_gridders());
+    gridders.push(("block-atomic", Box::new(atomic)));
+    for (name, gridder) in gridders {
+        let baseline = plan.adjoint(&coords, &values, &*gridder).unwrap().image;
+        set_serial_fallback(false);
+        arm(FaultPlan::once_at(fault::GRIDDING_CHUNK));
+        let err = plan
+            .adjoint(&coords, &values, &*gridder)
+            .expect_err(&format!("{name}: fault must surface in strict mode"));
+        assert_eq!(fires(), 1, "{name}: gridding.chunk must actually fire");
+        assert!(
+            matches!(err, Error::Execution(_)),
+            "{name}: expected Error::Execution, got {err:?}"
+        );
+        disarm();
+        set_serial_fallback(true);
+        let again = plan.adjoint(&coords, &values, &*gridder).unwrap().image;
+        // Block-atomic accumulates in scheduling order, so only the
+        // deterministic engines are held to their baseline's bits.
+        if name != "block-atomic" {
+            assert!(
+                bits_eq(&baseline, &again),
+                "{name}: post-failure run must match"
+            );
+        }
+    }
 }
 
 /// Contract 3: the CG-iteration site poisons a residual (no panic); the

@@ -139,7 +139,9 @@ fn three_d_pipeline() {
     let lut = jigsaw::core::lut::KernelLut::from_params(&params);
     let mut sw = vec![C64::zeroed(); g * g * g];
     use jigsaw::core::gridding::Gridder;
-    SerialGridder.grid(&params, &lut, &mapped, &values, &mut sw);
+    SerialGridder
+        .grid(&params, &lut, &mapped, &values, &mut sw)
+        .unwrap();
     let mut hw = Jigsaw3dSlice::new(JigsawConfig::small(g)).unwrap();
     let (stream, scale) = hw.quantize_inputs(&mapped, &values).unwrap();
     let run = hw.run(&stream, true);

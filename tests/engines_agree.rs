@@ -82,7 +82,9 @@ fn deterministic_engines_agree_bitwise() {
         let lut = KernelLut::from_params(&p);
         let npts = 32 * 32;
         let mut reference = vec![C64::zeroed(); npts];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut reference)
+            .unwrap();
         let reference_bits = bits(&reference);
         for threads in [1usize, 2, 3, 8] {
             let engines: Vec<Box<dyn Gridder<f64, 2>>> = vec![
@@ -108,7 +110,7 @@ fn deterministic_engines_agree_bitwise() {
             ];
             for e in &engines {
                 let mut out = vec![C64::zeroed(); npts];
-                e.grid(&p, &lut, &coords, &values, &mut out);
+                e.grid(&p, &lut, &coords, &values, &mut out).unwrap();
                 assert_eq!(
                     bits(&out),
                     reference_bits,
@@ -131,14 +133,17 @@ fn nondeterministic_engines_agree_within_fp() {
         let lut = KernelLut::from_params(&p);
         let npts = 32 * 32;
         let mut reference = vec![C64::zeroed(); npts];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut reference)
+            .unwrap();
         for mode in [SliceDiceMode::BlockAtomic, SliceDiceMode::BlockReduce] {
             let mut out = vec![C64::zeroed(); npts];
             SliceDiceGridder {
                 mode,
                 threads: Some(threads),
             }
-            .grid(&p, &lut, &coords, &values, &mut out);
+            .grid(&p, &lut, &coords, &values, &mut out)
+            .unwrap();
             let err = rel_l2(&out, &reference);
             assert!(err < 1e-12, "mode {mode:?}: err {err}");
         }
@@ -154,7 +159,9 @@ fn jigsaw_sim_tracks_f64_reference() {
         let p = params(32, 6, 32);
         let lut = KernelLut::from_params(&p);
         let mut reference = vec![C64::zeroed(); 32 * 32];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut reference)
+            .unwrap();
         let mut hw = Jigsaw2d::new(JigsawConfig::small(32)).unwrap();
         let (stream, scale) = hw.quantize_inputs(&coords, &values).unwrap();
         let run = hw.run(&stream);
@@ -175,7 +182,7 @@ fn mass_conservation_all_engines() {
         let lut = KernelLut::from_params(&p);
         let total = |engine: &dyn Gridder<f64, 2>| -> C64 {
             let mut out = vec![C64::zeroed(); 64 * 64];
-            engine.grid(&p, &lut, &coords, &values, &mut out);
+            engine.grid(&p, &lut, &coords, &values, &mut out).unwrap();
             out.iter().copied().sum()
         };
         let a = total(&SerialGridder);
@@ -200,15 +207,19 @@ fn slice_dice_never_duplicates_samples() {
         [8.0, 56.0],
     ] {
         let mut out = vec![C64::zeroed(); 64 * 64];
-        let stats = SliceDiceGridder::default().grid(&p, &lut, &[pos], &[C64::one()], &mut out);
+        let stats = SliceDiceGridder::default()
+            .grid(&p, &lut, &[pos], &[C64::one()], &mut out)
+            .unwrap();
         assert_eq!(stats.samples_processed, 1, "position {pos:?}");
-        let binned = BinnedGridder::default().grid(
-            &p,
-            &lut,
-            &[pos],
-            &[C64::one()],
-            &mut vec![C64::zeroed(); 64 * 64],
-        );
+        let binned = BinnedGridder::default()
+            .grid(
+                &p,
+                &lut,
+                &[pos],
+                &[C64::one()],
+                &mut vec![C64::zeroed(); 64 * 64],
+            )
+            .unwrap();
         assert!(binned.samples_processed >= 1);
     }
 }

@@ -59,7 +59,7 @@ fn pooled_spans_carry_worker_attribution() {
     let (coords, values) = sample_batch(500);
     let mut out = vec![C64::zeroed(); 64 * 64];
     let engine = SliceDiceGridder::default();
-    Gridder::<f64, 2>::grid(&engine, &p, &lut, &coords, &values, &mut out);
+    Gridder::<f64, 2>::grid(&engine, &p, &lut, &coords, &values, &mut out).unwrap();
 
     let events = telemetry::drain_events();
     let main_tid = telemetry::current_tid();
@@ -121,7 +121,7 @@ fn disabled_collection_is_deterministic() {
     for _ in 0..2 {
         let mut out = vec![C64::zeroed(); 64 * 64];
         let engine = SliceDiceGridder::default();
-        Gridder::<f64, 2>::grid(&engine, &p, &lut, &coords, &values, &mut out);
+        Gridder::<f64, 2>::grid(&engine, &p, &lut, &coords, &values, &mut out).unwrap();
         telemetry::record_counter("should.not.appear", 1);
         telemetry::counter_event("should.not.appear", 1.0);
     }
@@ -156,7 +156,7 @@ fn chrome_trace_parses_and_has_required_fields() {
         telemetry::counter_event("recon.cg_residual", 0.25);
     }
     // Pool activity so worker lanes appear.
-    WorkerPool::global().run(2, |_, _| {});
+    WorkerPool::global().map("test", 2, |_, _| {}).unwrap();
     let events = telemetry::drain_events();
     assert!(events.len() >= 4);
     let trace = telemetry::export::chrome_trace(&events, &telemetry::lanes());
@@ -211,7 +211,7 @@ fn registry_mirror_matches_gridstats_bitwise() {
     let (coords, values) = sample_batch(777);
     let mut out = vec![C64::zeroed(); 64 * 64];
     let stats: GridStats =
-        Gridder::<f64, 2>::grid(&SerialGridder, &p, &lut, &coords, &values, &mut out);
+        Gridder::<f64, 2>::grid(&SerialGridder, &p, &lut, &coords, &values, &mut out).unwrap();
 
     let reg = telemetry::Registry::new();
     stats.mirror_to(&reg, "serial");

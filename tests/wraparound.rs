@@ -247,7 +247,9 @@ fn seam_scatter_matches_serial_engine() {
             .collect();
 
         let mut reference = vec![C64::zeroed(); g * g];
-        SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
+        SerialGridder
+            .grid(&p, &lut, &coords, &values, &mut reference)
+            .unwrap();
 
         let mut manual = vec![C64::zeroed(); g * g];
         for (c, &v) in coords.iter().zip(values.iter()) {
