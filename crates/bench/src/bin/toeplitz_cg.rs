@@ -29,9 +29,9 @@ use jigsaw_core::gridding::SliceDiceGridder;
 use jigsaw_core::metrics::rel_l2;
 use jigsaw_core::phantom::Phantom2d;
 use jigsaw_core::recon::{CgOptions, NormalOpKind};
-use jigsaw_core::sense::{acquire, cg_sense_with, CoilMaps};
+use jigsaw_core::sense::{acquire, cg_sense, cg_sense_with, CoilMaps};
 use jigsaw_core::toeplitz::ToeplitzOperator;
-use jigsaw_core::{traj, NufftConfig, NufftPlan};
+use jigsaw_core::{traj, NufftConfig, NufftPlan, PlannedTrajectory};
 use jigsaw_num::C64;
 
 const N: usize = 256;
@@ -57,12 +57,12 @@ fn bits_eq(a: &[C64], b: &[C64]) -> bool {
 
 /// One gridded normal-operator application over all coils: the exact
 /// per-iteration work of the gridded CG-SENSE closure (forward NuFFT,
-/// adjoint NuFFT, coil combine).
+/// planned one-coil adjoint NuFFT, coil combine).
 fn gridded_normal_all_coils(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
     coords: &[[f64; 2]],
-    gridder: &SliceDiceGridder,
+    traj: &PlannedTrajectory<2>,
     x: &[C64],
 ) -> Vec<C64> {
     let n = maps.n();
@@ -70,17 +70,19 @@ fn gridded_normal_all_coils(
     for c in 0..maps.coils() {
         let weighted: Vec<C64> = x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect();
         let samples = plan.forward(&weighted, coords).unwrap().samples;
-        let back = plan.adjoint(coords, &samples, gridder).unwrap().image;
-        for ((a, b), s) in acc.iter_mut().zip(&back).zip(maps.map(c)) {
+        let back = &plan.adjoint_batch_planned(traj, &[&samples]).unwrap()[0].image;
+        for ((a, b), s) in acc.iter_mut().zip(back).zip(maps.map(c)) {
             *a += *b * s.conj();
         }
     }
     acc
 }
 
-/// One Toeplitz normal-operator application over all coils: the exact
-/// per-iteration work of the Toeplitz CG-SENSE closure (batched apply,
-/// coil combine).
+/// One Toeplitz normal-operator application over all coils through the
+/// public borrowing `apply_batch`: fresh coil-weighted images, which the
+/// batch copies again, then the coil combine. The CG-SENSE closure does
+/// the same convolutions on coil buffers it owns and refills, which the
+/// end-to-end row measures.
 fn toeplitz_normal_all_coils(top: &ToeplitzOperator<2>, maps: &CoilMaps, x: &[C64]) -> Vec<C64> {
     let n = maps.n();
     let weighted: Vec<Vec<C64>> = (0..maps.coils())
@@ -114,12 +116,12 @@ fn main() {
 
     let cfg = NufftConfig::with_n(N);
     let plan = NufftPlan::<f64, 2>::new(cfg.clone()).unwrap();
-    let gridder = SliceDiceGridder::default();
+    let planned = plan.plan_trajectory(&coords).unwrap();
     let maps = CoilMaps::synthetic(N, COILS);
 
     // One-time Toeplitz build (the single gridding pass at 2N).
     let t0 = std::time::Instant::now();
-    let top = Arc::new(ToeplitzOperator::<2>::build(&cfg, &coords, &[], &gridder).unwrap());
+    let top = Arc::new(ToeplitzOperator::<2>::build(&cfg, &coords, &[]).unwrap());
     let build_seconds = t0.elapsed().as_secs_f64();
     println!(
         "toeplitz build (one 2N gridding pass): {}",
@@ -143,7 +145,7 @@ fn main() {
     let mut group = BenchGroup::new(&format!("cg_sense normal op {N}x{N}, {COILS} coils"));
     group.sample_size(samples).throughput_elements(m as u64);
     let gridded_stats = group.bench_function("gridded_per_iter", || {
-        gridded_normal_all_coils(&plan, &maps, &coords, &gridder, &x)
+        gridded_normal_all_coils(&plan, &maps, &coords, &planned, &x)
     });
     let toeplitz_stats = group.bench_function("toeplitz_per_iter", || {
         toeplitz_normal_all_coils(&top, &maps, &x)
@@ -167,16 +169,7 @@ fn main() {
         ..Default::default()
     };
     let t1 = std::time::Instant::now();
-    let gridded_cg = cg_sense_with(
-        &plan,
-        &maps,
-        &data,
-        &coords,
-        &gridder,
-        &opts,
-        NormalOpKind::Gridded,
-    )
-    .unwrap();
+    let gridded_cg = cg_sense(&plan, &maps, &data, &coords, &opts).unwrap();
     let gridded_cg_seconds = t1.elapsed().as_secs_f64();
     let t2 = std::time::Instant::now();
     let toeplitz_cg = cg_sense_with(
@@ -184,7 +177,7 @@ fn main() {
         &maps,
         &data,
         &coords,
-        &gridder,
+        &SliceDiceGridder::default(),
         &opts,
         NormalOpKind::Toeplitz,
     )

@@ -32,6 +32,8 @@ USAGE:
 COMMANDS:
     recon       Reconstruct a Shepp-Logan phantom from synthetic radial k-space
                   --n 192 --spokes <auto> --engine slice-dice|serial|binned
+                  (gridding engine of the single-coil direct adjoint only;
+                  multi-coil and CG reconstructions run the planned scatter)
                   --coils 1 (>1 = planned multi-coil batch via the worker pool)
                   --cg 0 (CG iterations; 0 = direct adjoint) --out out/recon.pgm
                   --normal-op gridded|toeplitz (CG normal operator; toeplitz
@@ -295,7 +297,6 @@ pub fn recon(o: &Options) -> CmdResult {
             &coords,
             &data,
             &[],
-            engine.as_ref(),
             &CgOptions {
                 max_iterations: cg_iters,
                 tolerance: 1e-8,
@@ -530,7 +531,6 @@ pub fn profile(o: &Options) -> CmdResult {
             &maps,
             &coil_data,
             &coords,
-            &SliceDiceGridder::default(),
             &CgOptions {
                 max_iterations: cg_iters,
                 tolerance: 1e-8,

@@ -144,6 +144,9 @@ fn strict_gridding_fault_is_four() {
         "stderr: {err}"
     );
     assert!(err.contains("gridding.chunk"), "stderr: {err}");
+    // The contained fire unwinds without the panic hook, so stderr
+    // carries no unrenderable payload line.
+    assert!(!err.contains("Box<dyn Any>"), "stderr: {err}");
 }
 
 #[test]

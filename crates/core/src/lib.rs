@@ -28,10 +28,17 @@
 //! * [`gridding`] — four adjoint gridding engines: serial input-driven
 //!   (MIRT-style baseline), naive output-parallel, binned output-driven
 //!   (Impatient-style), and Slice-and-Dice (serial, column-parallel,
-//!   block-parallel atomic).
+//!   block-parallel atomic). They are the paper's baselines and the
+//!   bitwise references; production does not grid through them.
 //! * [`interp`] — the forward counterpart (regridding).
 //! * [`nufft`] — complete forward/adjoint NuFFT plans with per-stage
-//!   timing, plus [`nudft`] as the exact reference.
+//!   timing, plus [`nudft`] as the exact reference. The planned scatter
+//!   ([`NufftPlan::plan_trajectory`] +
+//!   [`NufftPlan::adjoint_batch_planned`]) is production's one scatter:
+//!   serving, the SENSE adjoint, both CG solvers and the Toeplitz build
+//!   run it, bitwise equal to every deterministic engine.
+//! * [`recon`], [`sense`], [`toeplitz`] — CG and CG-SENSE
+//!   reconstruction, with the gridded or the Toeplitz normal operator.
 //! * [`traj`], [`phantom`] — MRI sampling trajectories and the Shepp-Logan
 //!   phantom with analytic k-space, standing in for the paper's clinical
 //!   data set.

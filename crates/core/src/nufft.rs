@@ -555,19 +555,6 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         Ok(out)
     }
 
-    /// Batched forward NuFFT: transform many images (e.g. sensitivity-
-    /// weighted coil images) at one trajectory, mapping coordinates once.
-    ///
-    /// Images execute sequentially; for the pool-parallel path see
-    /// [`Self::forward_batch_planned`].
-    pub fn forward_batch(
-        &self,
-        images: &[&[Complex<T>]],
-        coords: &[[f64; D]],
-    ) -> Result<Vec<ForwardOutput<T>>> {
-        images.iter().map(|img| self.forward(img, coords)).collect()
-    }
-
     /// Precompute the per-sample window decomposition for a trajectory.
     ///
     /// This runs the map → quantize → decompose stage (§III) exactly once
@@ -642,6 +629,19 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         batches: &[&[Complex<T>]],
     ) -> Result<Vec<AdjointOutput<T>>> {
         self.adjoint_batch_planned_with(WorkerPool::global(), traj, batches)
+    }
+
+    /// One coil's [`Self::adjoint_batch_planned`]: the single adjoint of
+    /// `values` over `traj`, the production scatter of every one-image
+    /// caller.
+    pub(crate) fn adjoint_planned(
+        &self,
+        traj: &PlannedTrajectory<D>,
+        values: &[Complex<T>],
+    ) -> Result<AdjointOutput<T>> {
+        self.adjoint_batch_planned(traj, &[values])?
+            .pop()
+            .ok_or_else(|| Error::Execution("planned adjoint returned no image".into()))
     }
 
     /// [`Self::adjoint_batch_planned`] with the jobs on `pool`.

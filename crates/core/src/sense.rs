@@ -8,6 +8,14 @@
 //! over all coils. Every coil costs one NuFFT per operator application —
 //! with 8–32 coils and tens of CG iterations this is precisely the
 //! "millions of NuFFTs" regime the paper's introduction motivates.
+//!
+//! Every coil shares one trajectory (§II-A), so the SENSE adjoint and
+//! each CG-SENSE solve plan it once ([`NufftPlan::plan_trajectory`]),
+//! and every adjoint — the SENSE adjoint, the CG right-hand side and the
+//! gridded normal operator's per-coil adjoint — runs the planned scatter
+//! over it. The Toeplitz
+//! normal operator keeps its coil images in buffers that it hands to the
+//! convolution jobs by value and takes back every iteration.
 
 use crate::gridding::Gridder;
 use crate::nufft::NufftPlan;
@@ -129,7 +137,8 @@ pub fn acquire(
 /// `gridder` is not consulted. The planned scatter is bitwise identical
 /// to every deterministic engine — serial, Slice-and-Dice and binned
 /// (`tests/engines_agree.rs`) — and those are the only engines callers in
-/// this repository pass.
+/// this repository pass. The parameter goes with the benchmark change
+/// that stops passing it.
 pub fn adjoint(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
@@ -178,36 +187,43 @@ pub fn cg_sense(
     maps: &CoilMaps,
     data: &[Vec<C64>],
     coords: &[[f64; 2]],
-    gridder: &dyn Gridder<f64, 2>,
     opts: &CgOptions,
 ) -> Result<CgOutput> {
-    cg_sense_with(
-        plan,
-        maps,
-        data,
-        coords,
-        gridder,
-        opts,
-        NormalOpKind::Gridded,
-    )
+    solve(plan, maps, data, coords, opts, NormalOpKind::Gridded)
 }
 
 /// CG-SENSE with an explicit normal-operator selection — the same
 /// [`NormalOpKind`] seam as [`crate::recon::cg_reconstruct_with`].
 ///
-/// With [`NormalOpKind::Toeplitz`] one shared [`ToeplitzOperator`] is
-/// built up front (a single gridding pass at `2N`) and each CG iteration
-/// applies it to every coil-weighted image through
-/// [`ToeplitzOperator::apply_batch`] — zero gridding in the hot loop. A
-/// degradable build failure falls back to the gridded closure under the
-/// engine's serial-fallback policy. Under either operator the right-hand
-/// side is the planned SENSE [`adjoint`].
+/// The trajectory is planned once per solve: the right-hand side is
+/// [`adjoint_planned`] over it, and the gridded operator runs a forward
+/// NuFFT plus the planned one-coil adjoint per coil. With
+/// [`NormalOpKind::Toeplitz`] one shared [`ToeplitzOperator`] is built up
+/// front (a single gridding pass at `2N`) and each CG iteration convolves
+/// every coil-weighted image on the pool — zero gridding in the hot loop.
+/// A degradable build failure falls back to the gridded operator under
+/// the engine's serial-fallback policy.
+///
+/// `gridder` is not consulted, as in [`adjoint`]; the parameter goes with
+/// the benchmark change that stops passing it.
 pub fn cg_sense_with(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
     data: &[Vec<C64>],
     coords: &[[f64; 2]],
-    gridder: &dyn Gridder<f64, 2>,
+    _gridder: &dyn Gridder<f64, 2>,
+    opts: &CgOptions,
+    kind: NormalOpKind,
+) -> Result<CgOutput> {
+    solve(plan, maps, data, coords, opts, kind)
+}
+
+/// [`cg_sense_with`] without the unused engine argument.
+fn solve(
+    plan: &NufftPlan<f64, 2>,
+    maps: &CoilMaps,
+    data: &[Vec<C64>],
+    coords: &[[f64; 2]],
     opts: &CgOptions,
     kind: NormalOpKind,
 ) -> Result<CgOutput> {
@@ -216,16 +232,21 @@ pub fn cg_sense_with(
         m: coords.len(),
         max_iterations: opts.max_iterations
     });
-    let rhs = adjoint(plan, maps, data, coords, gridder)?;
+    let traj = plan.plan_trajectory(coords)?;
+    let rhs = adjoint_planned(plan, maps, data, &traj)?;
     let toeplitz = match kind {
         NormalOpKind::Gridded => None,
         NormalOpKind::Toeplitz => {
-            ToeplitzOperator::<2>::build_degradable(plan.config(), coords, &[], gridder, None)?
+            ToeplitzOperator::<2>::degradable(plan.config(), coords, &[], None)?
         }
     };
+    let n = maps.n();
     if let Some(top) = toeplitz {
+        // Coil `c`'s image `x·S_c`, written in place every iteration and
+        // handed to the convolution jobs by value; they come back
+        // convolved.
+        let mut coils: Vec<Vec<C64>> = Vec::new();
         let normal = |x: &[C64]| -> Result<Vec<C64>> {
-            let n = maps.n();
             // Cooperative budget check per application: the whole batch
             // is two FFTs per coil, far cheaper than the gridded path's
             // per-coil NuFFT pair, so one check up front suffices.
@@ -234,13 +255,14 @@ pub fn cg_sense_with(
                     "run budget exhausted before the Toeplitz normal operator".into(),
                 ));
             }
-            let weighted: Vec<Vec<C64>> = (0..maps.coils())
-                .map(|c| x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect())
-                .collect();
-            let refs: Vec<&[C64]> = weighted.iter().map(|w| w.as_slice()).collect();
-            let back = top.apply_batch(&refs)?;
+            coils.resize_with(maps.coils(), Vec::new);
+            for (c, image) in coils.iter_mut().enumerate() {
+                image.clear();
+                image.extend(x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s));
+            }
+            coils = top.apply_batch_owned(std::mem::take(&mut coils))?;
             let mut acc = vec![C64::zeroed(); n * n];
-            for (c, b) in back.iter().enumerate() {
+            for (c, b) in coils.iter().enumerate() {
                 for ((a, v), s) in acc.iter_mut().zip(b).zip(maps.map(c)) {
                     *a += *v * s.conj();
                 }
@@ -250,7 +272,6 @@ pub fn cg_sense_with(
         return crate::recon::cg_loop(normal, &rhs, opts);
     }
     let normal = |x: &[C64]| -> Result<Vec<C64>> {
-        let n = maps.n();
         let mut acc = vec![C64::zeroed(); n * n];
         for c in 0..maps.coils() {
             // Cooperative budget check between per-coil chunks: each coil
@@ -264,7 +285,7 @@ pub fn cg_sense_with(
             }
             let weighted: Vec<C64> = x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect();
             let fwd = plan.forward(&weighted, coords)?.samples;
-            let back = plan.adjoint(coords, &fwd, gridder)?.image;
+            let back = plan.adjoint_planned(&traj, &fwd)?.image;
             for ((a, b), s) in acc.iter_mut().zip(&back).zip(maps.map(c)) {
                 *a += *b * s.conj();
             }
@@ -351,7 +372,6 @@ mod tests {
             &maps,
             &data,
             &coords,
-            &SerialGridder,
             &CgOptions {
                 max_iterations: 25,
                 tolerance: 1e-9,
@@ -417,6 +437,136 @@ mod tests {
         }
         // Coil-count mismatch rejected.
         assert!(adjoint_planned(&plan, &maps, &data[..2], &traj).is_err());
+    }
+
+    fn bits_eq(a: &[C64], b: &[C64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+
+    /// A four-coil radial problem whose planned adjoints split into row
+    /// bands wherever the global pool has two workers (20 · 800 · 6²
+    /// accumulations, above 2^19), with the options of a fixed-length
+    /// solve.
+    struct PinProblem {
+        plan: NufftPlan<f64, 2>,
+        maps: CoilMaps,
+        coords: Vec<[f64; 2]>,
+        data: Vec<Vec<C64>>,
+        opts: CgOptions,
+    }
+
+    fn pin_problem() -> PinProblem {
+        let n = 24;
+        let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(n)).unwrap();
+        let maps = CoilMaps::synthetic(n, 4);
+        let mut coords = traj::radial_2d(20, 800, true);
+        traj::shuffle(&mut coords, 11);
+        let truth = Phantom2d::shepp_logan().rasterize_aa(n, 2);
+        let data = acquire(&plan, &maps, &truth, &coords).unwrap();
+        let opts = CgOptions {
+            max_iterations: 4,
+            tolerance: 0.0,
+            lambda: 1e-3,
+            ..Default::default()
+        };
+        PinProblem {
+            plan,
+            maps,
+            coords,
+            data,
+            opts,
+        }
+    }
+
+    fn assert_same_solve(got: &CgOutput, want: &CgOutput, what: &str) {
+        assert_eq!(got.residuals.len(), want.residuals.len(), "{what}");
+        assert!(bits_eq(&got.image, &want.image), "{what}");
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.residuals), bits(&want.residuals), "{what}");
+    }
+
+    #[test]
+    fn toeplitz_cg_sense_with_owned_coil_buffers_is_bitwise_the_borrowing_loop() {
+        let PinProblem {
+            plan,
+            maps,
+            coords,
+            data,
+            opts,
+        } = pin_problem();
+        let n = maps.n();
+        let rhs = adjoint(&plan, &maps, &data, &coords, &SerialGridder).unwrap();
+        let top = ToeplitzOperator::<2>::build(plan.config(), &coords, &[]).unwrap();
+        // Fresh coil-weighted images every iteration, convolved through
+        // the borrowing batch.
+        let reference = crate::recon::cg_loop(
+            |x| {
+                let weighted: Vec<Vec<C64>> = (0..maps.coils())
+                    .map(|c| x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect())
+                    .collect();
+                let refs: Vec<&[C64]> = weighted.iter().map(|w| w.as_slice()).collect();
+                let back = top.apply_batch(&refs)?;
+                let mut acc = vec![C64::zeroed(); n * n];
+                for (c, b) in back.iter().enumerate() {
+                    for ((a, v), s) in acc.iter_mut().zip(b).zip(maps.map(c)) {
+                        *a += *v * s.conj();
+                    }
+                }
+                Ok(acc)
+            },
+            &rhs,
+            &opts,
+        )
+        .unwrap();
+        let got = cg_sense_with(
+            &plan,
+            &maps,
+            &data,
+            &coords,
+            &SerialGridder,
+            &opts,
+            NormalOpKind::Toeplitz,
+        )
+        .unwrap();
+        assert_same_solve(&got, &reference, "Toeplitz");
+    }
+
+    #[test]
+    fn gridded_cg_sense_is_bitwise_the_serial_per_coil_composition() {
+        let PinProblem {
+            plan,
+            maps,
+            coords,
+            data,
+            opts,
+        } = pin_problem();
+        let n = maps.n();
+        let rhs = adjoint(&plan, &maps, &data, &coords, &SerialGridder).unwrap();
+        // The old gridded closure: a forward plus a cold serial adjoint
+        // per coil.
+        let reference = crate::recon::cg_loop(
+            |x| {
+                let mut acc = vec![C64::zeroed(); n * n];
+                for c in 0..maps.coils() {
+                    let weighted: Vec<C64> =
+                        x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect();
+                    let fwd = plan.forward(&weighted, &coords)?.samples;
+                    let back = plan.adjoint(&coords, &fwd, &SerialGridder)?.image;
+                    for ((a, b), s) in acc.iter_mut().zip(&back).zip(maps.map(c)) {
+                        *a += *b * s.conj();
+                    }
+                }
+                Ok(acc)
+            },
+            &rhs,
+            &opts,
+        )
+        .unwrap();
+        let got = cg_sense(&plan, &maps, &data, &coords, &opts).unwrap();
+        assert_same_solve(&got, &reference, "gridded");
     }
 
     #[test]

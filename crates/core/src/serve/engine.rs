@@ -311,18 +311,15 @@ impl ServeEngine {
         est_ms.clamp(25, 30_000) as u32
     }
 
-    /// The numeric body: planned batched adjoint on the shared worker
-    /// pool. Bitwise identical to a cold one-shot serial
+    /// The numeric body: the planned one-coil adjoint on the shared
+    /// worker pool. Bitwise identical to a cold one-shot serial
     /// [`crate::NufftPlan::adjoint`] by the planned-path invariant, so a
     /// cache hit and a cache miss produce identical bytes.
     fn reconstruct(cached: &Arc<CachedPlan>, req: &JobRequest) -> Result<Vec<jigsaw_num::C64>> {
-        let outs = cached
+        Ok(cached
             .plan
-            .adjoint_batch_planned(&cached.traj, &[&req.values])?;
-        outs.into_iter()
-            .next()
-            .map(|o| o.image)
-            .ok_or_else(|| Error::Execution("planned adjoint returned no image".into()))
+            .adjoint_planned(&cached.traj, &req.values)?
+            .image)
     }
 }
 

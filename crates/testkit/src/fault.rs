@@ -237,16 +237,23 @@ pub fn test_guard() -> MutexGuard<'static, ()> {
 }
 
 /// Place a named fault point: a no-op costing one relaxed atomic load
-/// when fault injection is disarmed, a panic with a
+/// when fault injection is disarmed, an unwind with a
 /// [`FaultInjected`](crate::fault::FaultInjected) payload when the armed
 /// schedule says this evaluation fires. The site must be a `&'static
 /// str` expression (conventionally a dotted literal like
 /// `"gridding.chunk"`).
+///
+/// The unwind starts with [`std::panic::resume_unwind`], which skips the
+/// panic hook: the default hook cannot render the typed payload and
+/// would print `Box<dyn Any>` on stderr for every contained fire. The
+/// handler that catches it names the site from the payload.
 #[macro_export]
 macro_rules! faultpoint {
     ($site:expr) => {
         if $crate::fault::should_fire($site) {
-            ::std::panic::panic_any($crate::fault::FaultInjected { site: $site });
+            ::std::panic::resume_unwind(::std::boxed::Box::new($crate::fault::FaultInjected {
+                site: $site,
+            }));
         }
     };
 }

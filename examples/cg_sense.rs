@@ -64,7 +64,6 @@ fn main() {
         &maps,
         &data,
         &coords,
-        &engine,
         &CgOptions {
             max_iterations: iters,
             tolerance: 1e-9,

@@ -77,11 +77,12 @@ fn main() {
         budget: Default::default(),
     };
     let t0 = Instant::now();
+    let planned = plan.plan_trajectory(&coords).expect("plan trajectory");
     let via_nufft = cg_solve(
         &NormalOp::Nufft {
             plan: &plan,
             coords: &coords,
-            gridder: &engine,
+            traj: &planned,
             weights: &[],
         },
         &rhs,
@@ -98,9 +99,8 @@ fn main() {
 
     // 4. CG with the Toeplitz normal operator (grids once, FFTs after).
     let t1 = Instant::now();
-    let top = std::sync::Arc::new(
-        ToeplitzOperator::<2>::build(&cfg, &coords, &[], &engine).expect("toeplitz"),
-    );
+    let top =
+        std::sync::Arc::new(ToeplitzOperator::<2>::build(&cfg, &coords, &[]).expect("toeplitz"));
     let t_build = t1.elapsed();
     let t2 = Instant::now();
     let via_toeplitz = cg_solve(&NormalOp::Toeplitz(top), &rhs, &opts).expect("cg");

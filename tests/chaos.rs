@@ -198,9 +198,7 @@ fn toeplitz_coil_job_fault_strict_errors_then_fallback_matches() {
     telemetry::set_enabled(true);
     let n = 16;
     let (plan, coords, _) = coil_problem(n, 1);
-    let top =
-        ToeplitzOperator::<2>::build(plan.config(), &coords, &[], &SliceDiceGridder::default())
-            .unwrap();
+    let top = ToeplitzOperator::<2>::build(plan.config(), &coords, &[]).unwrap();
     let coils: Vec<Vec<C64>> = (0..3)
         .map(|c| {
             (0..n * n)
@@ -367,10 +365,8 @@ fn cg_iteration_fault_degrades_to_nonfinite_diagnostic() {
         tolerance: 1e-12,
         ..Default::default()
     };
-    let gridder = SliceDiceGridder::default();
-
     arm(FaultPlan::once_at(fault::RECON_CG_ITER));
-    let out = cg_reconstruct(&plan, &coords, &data, &[], &gridder, &opts)
+    let out = cg_reconstruct(&plan, &coords, &data, &[], &opts)
         .expect("poisoned residual must be contained, not returned as Err");
     assert_eq!(fires(), 1, "recon.cg_iter must actually fire");
     disarm();
@@ -470,34 +466,17 @@ fn normal_op_build_fault_degrades_to_gridded_bitwise() {
         tolerance: 1e-12,
         ..Default::default()
     };
-    let gridder = SliceDiceGridder::default();
 
-    let baseline = cg_reconstruct_with(
-        &plan,
-        &coords,
-        &data,
-        &[],
-        &gridder,
-        &opts,
-        NormalOpKind::Gridded,
-    )
-    .unwrap();
+    let baseline =
+        cg_reconstruct_with(&plan, &coords, &data, &[], &opts, NormalOpKind::Gridded).unwrap();
 
     let before = telemetry::global()
         .snapshot()
         .counter("recon.normal_op_fallbacks")
         .unwrap_or(0);
     arm(FaultPlan::once_at(fault::RECON_NORMAL_OP));
-    let degraded = cg_reconstruct_with(
-        &plan,
-        &coords,
-        &data,
-        &[],
-        &gridder,
-        &opts,
-        NormalOpKind::Toeplitz,
-    )
-    .expect("build fault must degrade to the gridded path, not error");
+    let degraded = cg_reconstruct_with(&plan, &coords, &data, &[], &opts, NormalOpKind::Toeplitz)
+        .expect("build fault must degrade to the gridded path, not error");
     assert_eq!(fires(), 1, "recon.normal_op must actually fire");
     disarm();
     assert!(
@@ -532,20 +511,11 @@ fn normal_op_build_fault_strict_surfaces_execution_error() {
         tolerance: 1e-12,
         ..Default::default()
     };
-    let gridder = SliceDiceGridder::default();
 
     set_serial_fallback(false);
     arm(FaultPlan::once_at(fault::RECON_NORMAL_OP));
-    let err = cg_reconstruct_with(
-        &plan,
-        &coords,
-        &data,
-        &[],
-        &gridder,
-        &opts,
-        NormalOpKind::Toeplitz,
-    )
-    .expect_err("strict mode must surface the build fault");
+    let err = cg_reconstruct_with(&plan, &coords, &data, &[], &opts, NormalOpKind::Toeplitz)
+        .expect_err("strict mode must surface the build fault");
     assert_eq!(fires(), 1, "recon.normal_op must actually fire");
     assert!(
         matches!(err, Error::Execution(_)),
@@ -553,16 +523,8 @@ fn normal_op_build_fault_strict_surfaces_execution_error() {
     );
     disarm();
     set_serial_fallback(true);
-    cg_reconstruct_with(
-        &plan,
-        &coords,
-        &data,
-        &[],
-        &gridder,
-        &opts,
-        NormalOpKind::Toeplitz,
-    )
-    .expect("clean Toeplitz run must succeed after the fault");
+    cg_reconstruct_with(&plan, &coords, &data, &[], &opts, NormalOpKind::Toeplitz)
+        .expect("clean Toeplitz run must succeed after the fault");
 }
 
 /// Containment for the shed path (`serve.shed`): a panic injected while

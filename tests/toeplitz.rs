@@ -110,7 +110,7 @@ fn toeplitz_matches_gridded_normal_op_2d() {
         let cfg = NufftConfig::with_n(n);
         let plan = NufftPlan::<f64, 2>::new(cfg.clone()).unwrap();
         let gridder = SliceDiceGridder::default();
-        let top = ToeplitzOperator::<2>::build(&cfg, &coords, &weights, &gridder).unwrap();
+        let top = ToeplitzOperator::<2>::build(&cfg, &coords, &weights).unwrap();
 
         let x = arb_image(rng, n * n);
         let direct = gridded_normal(&plan, &coords, &weights, &gridder, &x);
@@ -136,7 +136,7 @@ fn toeplitz_matches_gridded_normal_op_1d() {
         let cfg = NufftConfig::with_n(n);
         let plan = NufftPlan::<f64, 1>::new(cfg.clone()).unwrap();
         let gridder = SliceDiceGridder::default();
-        let top = ToeplitzOperator::<1>::build(&cfg, &coords, &weights, &gridder).unwrap();
+        let top = ToeplitzOperator::<1>::build(&cfg, &coords, &weights).unwrap();
 
         let x = arb_image(rng, n);
         let direct = gridded_normal(&plan, &coords, &weights, &gridder, &x);
@@ -201,19 +201,19 @@ fn cg_through_toeplitz_matches_gridded_cg() {
             ..Default::default()
         };
 
+        let planned = plan.plan_trajectory(&coords).unwrap();
         let gridded = cg_solve(
             &NormalOp::Nufft {
                 plan: &plan,
                 coords: &coords,
-                gridder: &gridder,
+                traj: &planned,
                 weights: &weights,
             },
             &rhs,
             &opts,
         )
         .unwrap();
-        let top =
-            Arc::new(ToeplitzOperator::<2>::build(&cfg, &coords, &weights, &gridder).unwrap());
+        let top = Arc::new(ToeplitzOperator::<2>::build(&cfg, &coords, &weights).unwrap());
         let fast = cg_solve(&NormalOp::Toeplitz(top), &rhs, &opts).unwrap();
         let err = rel_l2(&fast.image, &gridded.image);
         assert!(
@@ -282,8 +282,7 @@ fn apply_is_bitwise_stable_across_worker_counts() {
         let n = 16;
         let (_, coords) = arb_traj_2d(rng, n);
         let cfg = NufftConfig::with_n(n);
-        let gridder = SliceDiceGridder::default();
-        let top = ToeplitzOperator::<2>::build(&cfg, &coords, &[], &gridder).unwrap();
+        let top = ToeplitzOperator::<2>::build(&cfg, &coords, &[]).unwrap();
         let x = arb_image(rng, n * n);
 
         let reference = top.apply(&x).unwrap();
@@ -307,8 +306,7 @@ fn apply_batch_is_bitwise_identical_to_singles() {
         let n = 12;
         let (_, coords) = arb_traj_2d(rng, n);
         let cfg = NufftConfig::with_n(n);
-        let gridder = SliceDiceGridder::default();
-        let top = ToeplitzOperator::<2>::build(&cfg, &coords, &[], &gridder).unwrap();
+        let top = ToeplitzOperator::<2>::build(&cfg, &coords, &[]).unwrap();
         assert!(top.apply_batch(&[]).unwrap().is_empty());
 
         let ncoils = rng.usize_range(1, 6);
