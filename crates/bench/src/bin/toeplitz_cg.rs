@@ -56,12 +56,11 @@ fn bits_eq(a: &[C64], b: &[C64]) -> bool {
 }
 
 /// One gridded normal-operator application over all coils: the exact
-/// per-iteration work of the gridded CG-SENSE closure (forward NuFFT,
-/// planned one-coil adjoint NuFFT, coil combine).
+/// per-iteration work of the gridded CG-SENSE closure (planned forward
+/// NuFFT, planned one-coil adjoint NuFFT, coil combine).
 fn gridded_normal_all_coils(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
-    coords: &[[f64; 2]],
     traj: &PlannedTrajectory<2>,
     x: &[C64],
 ) -> Vec<C64> {
@@ -69,7 +68,7 @@ fn gridded_normal_all_coils(
     let mut acc = vec![C64::zeroed(); n * n];
     for c in 0..maps.coils() {
         let weighted: Vec<C64> = x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect();
-        let samples = plan.forward(&weighted, coords).unwrap().samples;
+        let samples = plan.forward_planned(traj, &weighted).unwrap().samples;
         let back = &plan.adjoint_batch_planned(traj, &[&samples]).unwrap()[0].image;
         for ((a, b), s) in acc.iter_mut().zip(back).zip(maps.map(c)) {
             *a += *b * s.conj();
@@ -145,7 +144,7 @@ fn main() {
     let mut group = BenchGroup::new(&format!("cg_sense normal op {N}x{N}, {COILS} coils"));
     group.sample_size(samples).throughput_elements(m as u64);
     let gridded_stats = group.bench_function("gridded_per_iter", || {
-        gridded_normal_all_coils(&plan, &maps, &coords, &planned, &x)
+        gridded_normal_all_coils(&plan, &maps, &planned, &x)
     });
     let toeplitz_stats = group.bench_function("toeplitz_per_iter", || {
         toeplitz_normal_all_coils(&top, &maps, &x)

@@ -12,100 +12,11 @@ use jigsaw_core::serve::{
 use jigsaw_core::{traj, NufftConfig, NufftPlan};
 use jigsaw_num::C64;
 use std::io::{Read, Write};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// A daemon child that is killed on drop so a failing test can't leak
-/// processes or wedge the suite.
-struct DaemonGuard {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl DaemonGuard {
-    fn spawn(name: &str, extra_env: &[(&str, &str)]) -> Self {
-        Self::spawn_with_args(name, &[], extra_env)
-    }
-
-    fn spawn_with_args(
-        name: &str,
-        extra_args: &[&std::ffi::OsStr],
-        extra_env: &[(&str, &str)],
-    ) -> Self {
-        let socket = std::env::temp_dir().join(format!(
-            "jigsaw-serve-test-{name}-{}.sock",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&socket);
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_jigsaw"));
-        cmd.args(["serve", "--socket"])
-            .arg(&socket)
-            .args(extra_args)
-            .env_remove("JIGSAW_FAULTS")
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped());
-        for (k, v) in extra_env {
-            cmd.env(k, v);
-        }
-        let child = cmd.spawn().expect("failed to spawn jigsaw serve");
-        let mut guard = Self {
-            child,
-            socket: socket.clone(),
-        };
-        // Wait for the daemon to bind its socket.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !guard.socket.exists() {
-            assert!(
-                Instant::now() < deadline,
-                "daemon never created {}",
-                guard.socket.display()
-            );
-            if let Ok(Some(status)) = guard.child.try_wait() {
-                panic!("daemon exited early with {status}");
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        guard
-    }
-
-    fn connect(&self) -> ServeClient<std::os::unix::net::UnixStream> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match ServeClient::connect(&self.socket) {
-                Ok(c) => {
-                    c.set_read_timeout(Duration::from_secs(60))
-                        .expect("timeout");
-                    return c;
-                }
-                Err(e) => {
-                    assert!(Instant::now() < deadline, "cannot connect: {e}");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-    }
-
-    /// Wait for exit and return the status code.
-    fn wait(mut self) -> Option<i32> {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if let Ok(Some(status)) = self.child.try_wait() {
-                return status.code();
-            }
-            assert!(Instant::now() < deadline, "daemon did not exit");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-}
-
-impl Drop for DaemonGuard {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.socket);
-    }
-}
+mod common;
+use common::DaemonGuard;
 
 fn radial_request(tag: u64, n: u32) -> JobRequest {
     let mut coords = traj::radial_2d(8, 2 * n as usize, true);
@@ -126,7 +37,7 @@ fn radial_request(tag: u64, n: u32) -> JobRequest {
 
 #[test]
 fn submit_result_framing_and_clean_shutdown() {
-    let daemon = DaemonGuard::spawn("roundtrip", &[]);
+    let daemon = DaemonGuard::spawn("roundtrip", &[], &[]);
     let mut client = daemon.connect();
     client.ping().expect("ping");
 
@@ -170,7 +81,7 @@ fn submit_result_framing_and_clean_shutdown() {
 
 #[test]
 fn malformed_frame_gets_error_frame_and_daemon_survives() {
-    let daemon = DaemonGuard::spawn("malformed", &[]);
+    let daemon = DaemonGuard::spawn("malformed", &[], &[]);
 
     // Write garbage straight to the socket.
     let mut raw = std::os::unix::net::UnixStream::connect(&daemon.socket).expect("connect");
@@ -205,7 +116,7 @@ fn malformed_frame_gets_error_frame_and_daemon_survives() {
 
 #[test]
 fn semantic_errors_keep_the_connection_open() {
-    let daemon = DaemonGuard::spawn("semantic", &[]);
+    let daemon = DaemonGuard::spawn("semantic", &[], &[]);
     let mut client = daemon.connect();
 
     // Non-finite coordinate: a tagged data-category error frame.
@@ -257,6 +168,7 @@ fn injected_job_fault_returns_error_frame_and_daemon_survives() {
     // execution-error frame, the second succeeds, the daemon exits 0.
     let daemon = DaemonGuard::spawn(
         "faulted",
+        &[],
         &[("JIGSAW_FAULTS", "site=serve.job,seed=7,rate=1,fires=1")],
     );
     let mut client = daemon.connect();
@@ -286,7 +198,7 @@ fn injected_job_fault_returns_error_frame_and_daemon_survives() {
 
 #[test]
 fn concurrent_clients_each_get_their_own_tagged_results() {
-    let daemon = DaemonGuard::spawn("concurrent", &[]);
+    let daemon = DaemonGuard::spawn("concurrent", &[], &[]);
     let mut handles = Vec::new();
     for c in 0..4u64 {
         let socket = daemon.socket.clone();
@@ -332,7 +244,7 @@ fn drain_then_restart_serves_first_request_from_warm_cache() {
     // pipelined burst with the Drain frame in the middle, so the
     // daemon must answer every accepted job exactly once, refuse the
     // late submit with Overloaded{draining}, snapshot, and exit 0.
-    let daemon = DaemonGuard::spawn_with_args("restart-a", args, &[]);
+    let daemon = DaemonGuard::spawn("restart-a", args, &[]);
     let mut client = daemon.connect();
     for tag in 1..=2u64 {
         client.submit(&radial_request(tag, 24)).expect("submit");
@@ -361,7 +273,7 @@ fn drain_then_restart_serves_first_request_from_warm_cache() {
 
     // Lifetime 2: a fresh daemon process restores the snapshot; the
     // very first identical request over the real wire is a cache hit.
-    let daemon = DaemonGuard::spawn_with_args("restart-b", args, &[]);
+    let daemon = DaemonGuard::spawn("restart-b", args, &[]);
     let mut client = daemon.connect();
     match client
         .roundtrip(&radial_request(10, 24))
@@ -389,7 +301,7 @@ fn sigterm_drains_gracefully_and_snapshots() {
     ));
     let _ = std::fs::remove_file(&snap);
     let args: &[&std::ffi::OsStr] = &["--snapshot".as_ref(), snap.as_os_str()];
-    let daemon = DaemonGuard::spawn_with_args("sigterm", args, &[]);
+    let daemon = DaemonGuard::spawn("sigterm", args, &[]);
     let mut client = daemon.connect();
     match client
         .roundtrip(&radial_request(41, 16))
@@ -418,7 +330,7 @@ fn corrupted_snapshot_degrades_to_cold_start_and_clean_exit() {
     ));
     std::fs::write(&snap, b"JGSPtorn-mid-write-garbage-bytes").expect("plant corrupt snapshot");
     let args: &[&std::ffi::OsStr] = &["--snapshot".as_ref(), snap.as_os_str()];
-    let daemon = DaemonGuard::spawn_with_args("corrupt-snap", args, &[]);
+    let daemon = DaemonGuard::spawn("corrupt-snap", args, &[]);
     let mut client = daemon.connect();
     match client
         .roundtrip(&radial_request(21, 16))

@@ -11,83 +11,11 @@
 use jigsaw_core::serve::{Frame, JobRequest, Priority, ServeClient, STATS_VERSION};
 use jigsaw_core::traj;
 use jigsaw_num::C64;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
-/// A daemon child killed on drop so a failing test can't leak processes.
-struct DaemonGuard {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl DaemonGuard {
-    fn spawn(name: &str, extra_args: &[&str]) -> Self {
-        let socket = std::env::temp_dir().join(format!(
-            "jigsaw-stats-test-{name}-{}.sock",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&socket);
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_jigsaw"));
-        cmd.args(["serve", "--socket"])
-            .arg(&socket)
-            .args(extra_args)
-            .env_remove("JIGSAW_FAULTS")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        let child = cmd.spawn().expect("failed to spawn jigsaw serve");
-        let guard = Self {
-            child,
-            socket: socket.clone(),
-        };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !guard.socket.exists() {
-            assert!(
-                Instant::now() < deadline,
-                "daemon never created {}",
-                guard.socket.display()
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        guard
-    }
-
-    fn connect(&self) -> ServeClient<std::os::unix::net::UnixStream> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match ServeClient::connect(&self.socket) {
-                Ok(c) => {
-                    c.set_read_timeout(Duration::from_secs(60))
-                        .expect("timeout");
-                    return c;
-                }
-                Err(e) => {
-                    assert!(Instant::now() < deadline, "cannot connect: {e}");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-    }
-
-    fn wait(mut self) -> Option<i32> {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if let Ok(Some(status)) = self.child.try_wait() {
-                return status.code();
-            }
-            assert!(Instant::now() < deadline, "daemon did not exit");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-}
-
-impl Drop for DaemonGuard {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.socket);
-    }
-}
+mod common;
+use common::DaemonGuard;
 
 fn radial_request(tag: u64, n: u32, seed: u64) -> JobRequest {
     let mut coords = traj::radial_2d(8, 2 * n as usize, true);
@@ -115,7 +43,7 @@ fn image_of(frame: Frame) -> Vec<C64> {
 
 #[test]
 fn stats_scrapes_are_monotone_and_hit_rate_matches_submissions() {
-    let daemon = DaemonGuard::spawn("burst", &[]);
+    let daemon = DaemonGuard::spawn("burst", &[], &[]);
     let mut jobs = daemon.connect();
     let mut scraper = daemon.connect();
 
@@ -192,7 +120,7 @@ fn stats_scrapes_are_monotone_and_hit_rate_matches_submissions() {
 
 #[test]
 fn request_stats_cli_formats() {
-    let daemon = DaemonGuard::spawn("cli", &[]);
+    let daemon = DaemonGuard::spawn("cli", &[], &[]);
     let mut client = daemon.connect();
     let _ = image_of(client.roundtrip(&radial_request(1, 16, 3)).expect("job"));
     let _ = image_of(client.roundtrip(&radial_request(2, 16, 3)).expect("job"));
@@ -238,32 +166,17 @@ fn contained_panic_dumps_flight_tail_naming_request_id() {
     // Arm one serve.job fault. The daemon must survive, the client gets
     // a structured error, and stderr carries a flight-recorder dump
     // that names the request that died.
-    let socket = std::env::temp_dir().join(format!(
-        "jigsaw-stats-test-panic-{}.sock",
-        std::process::id()
-    ));
     let stderr_path =
         std::env::temp_dir().join(format!("jigsaw-stats-panic-{}.stderr", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
     let stderr_file = std::fs::File::create(&stderr_path).expect("stderr capture file");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_jigsaw"))
-        .args(["serve", "--socket"])
-        .arg(&socket)
-        .env("JIGSAW_FAULTS", "site=serve.job,seed=7,rate=1,fires=1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::from(stderr_file))
-        .spawn()
-        .expect("spawn jigsaw serve");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !socket.exists() {
-        assert!(Instant::now() < deadline, "daemon never created socket");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let daemon = DaemonGuard::spawn_with_stderr(
+        "panic",
+        &[],
+        &[("JIGSAW_FAULTS", "site=serve.job,seed=7,rate=1,fires=1")],
+        Stdio::from(stderr_file),
+    );
 
-    let mut client = ServeClient::connect(&socket).expect("connect");
-    client
-        .set_read_timeout(Duration::from_secs(60))
-        .expect("timeout");
+    let mut client = daemon.connect();
     match client.roundtrip(&radial_request(4242, 16, 9)).expect("rt") {
         Frame::Error(e) => assert_eq!(e.tag, 4242),
         other => panic!("expected error frame from faulted job, got {other:?}"),
@@ -271,11 +184,9 @@ fn contained_panic_dumps_flight_tail_naming_request_id() {
     // The daemon survived: the next job (fault spent) succeeds.
     let _ = image_of(client.roundtrip(&radial_request(4243, 16, 9)).expect("rt"));
     client.shutdown().expect("shutdown ack");
-    let status = child.wait().expect("daemon exit");
-    assert_eq!(status.code(), Some(0));
+    assert_eq!(daemon.wait(), Some(0));
 
     let text = std::fs::read_to_string(&stderr_path).expect("captured stderr");
-    let _ = std::fs::remove_file(&socket);
     let _ = std::fs::remove_file(&stderr_path);
     assert!(
         text.contains("contained panic in job request_id=4242"),
@@ -292,7 +203,7 @@ fn trace_out_carries_request_id_on_job_spans() {
     let trace =
         std::env::temp_dir().join(format!("jigsaw-stats-trace-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&trace);
-    let daemon = DaemonGuard::spawn("trace", &["--trace-out", trace.to_str().unwrap()]);
+    let daemon = DaemonGuard::spawn("trace", &["--trace-out".as_ref(), trace.as_os_str()], &[]);
     let mut client = daemon.connect();
     let _ = image_of(client.roundtrip(&radial_request(777, 16, 5)).expect("job"));
     client.shutdown().expect("shutdown ack");

@@ -41,9 +41,9 @@ pub const ENGINE_DISPATCH: &str = "engine.dispatch";
 /// naive output chunks, block partials, atomic blocks).
 pub const GRIDDING_CHUNK: &str = "gridding.chunk";
 
-/// Inside every per-coil or row-band job of the batched planned NuFFT
-/// paths ([`crate::nufft::NufftPlan::adjoint_batch_planned`] /
-/// `forward_batch_planned`).
+/// Inside every per-coil or row-band job of the planned adjoint
+/// ([`crate::nufft::NufftPlan::adjoint_batch_planned`]). The forward
+/// NuFFT's gather jobs do not evaluate it.
 pub const NUFFT_COIL: &str = "nufft.coil";
 
 /// At the top of every serving job body

@@ -7,12 +7,16 @@
 //!
 //! Gathering is embarrassingly parallel across samples (pure reads of the
 //! grid), which is why the paper focuses its hardware on the adjoint
-//! direction. [`interpolate`] gathers serially through the same shared
+//! direction. [`interpolate`] is the serial on-the-fly gather: it
+//! decomposes each mapped coordinate as it goes, through the same shared
 //! decomposition as the gridders, so forward/adjoint stay numerically
-//! consistent; [`crate::nufft::NufftPlan::forward`] splits the samples
-//! into pool jobs ([`crate::engine::WorkerPool::map`]) that each run it
-//! on one chunk. Each sample's gather is independent, so the split never
-//! changes a bit.
+//! consistent. Density compensation ([`crate::density`]) gathers through
+//! it, and it is the bitwise reference of the production gather,
+//! [`crate::nufft::NufftPlan::forward_planned`], which expands every
+//! sample's windows from a planned trajectory instead and splits the
+//! samples into pool jobs ([`crate::engine::WorkerPool::map`]). Both sum
+//! each window through [`gather_from_windows`], and each sample's gather
+//! is independent, so neither the plan nor the split changes a bit.
 
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
@@ -23,8 +27,9 @@ use jigsaw_num::{Complex, Float};
 
 /// Gather one sample's value from the grid given its expanded per-dim
 /// windows ([`crate::gridding::expand_windows`]): the kernel-weighted sum
-/// of the `W^d` window points. The planned and unplanned forward paths
-/// both gather through here, so they are bitwise identical.
+/// of the `W^d` window points. The planned forward gather and
+/// [`interpolate`] both gather through here, so they are bitwise
+/// identical.
 #[inline]
 pub fn gather_from_windows<T: Float, const D: usize>(
     grid: &[Complex<T>],

@@ -9,12 +9,15 @@
 //!
 //! For multi-coil MRI (§II-A: "each of the C receive coils acquires the
 //! same k-space trajectory") the plan additionally supports *planned*
-//! batched execution: [`NufftPlan::plan_trajectory`] maps and quantizes
-//! every coordinate into its integer window decomposition (§III) once,
-//! and [`NufftPlan::adjoint_batch_planned`] /
-//! [`NufftPlan::forward_batch_planned`] stream every coil through it on
+//! execution: [`NufftPlan::plan_trajectory`] maps and quantizes every
+//! coordinate into its integer window decomposition (§III) once, and
+//! every production transform in both directions streams through it on
 //! the persistent [`crate::engine::WorkerPool`], expanding each sample's
-//! window as they go into arena-recycled grid buffers.
+//! window as it goes. [`NufftPlan::adjoint_batch_planned`] scatters a
+//! batch of coils into arena-recycled grid buffers, and
+//! [`NufftPlan::forward_planned`] gathers one image's samples. The
+//! one-shot [`NufftPlan::forward`] plans its coordinates and then runs
+//! that same gather, so the forward NuFFT has one gather.
 //!
 //! A batch of several coils runs one coil per pooled job, which scatters,
 //! FFTs and de-apodizes that coil on one worker. A one-coil adjoint batch
@@ -30,14 +33,14 @@
 //! Every parallel step dispatches through
 //! [`crate::engine::WorkerPool::map`], which returns the jobs' values in
 //! job order and owns the serial-fallback policy: a failed coil, band or
-//! image job runs again by itself on the calling thread, or the call
+//! gather job runs again by itself on the calling thread, or the call
 //! returns `Error::Execution` with the fallback off.
 //!
 //! Every uniform FFT runs serially ([`FftNd::process`]) on whichever
 //! thread holds the grid, and so do the apodized embed and the
 //! de-apodized extract around it; a single-image [`NufftPlan::adjoint`]
-//! parallelizes only in its gridding engine, and [`NufftPlan::forward`]
-//! only in its gather, one chunk of samples per pool job. On a 2-vCPU
+//! parallelizes only in its gridding engine, and the forward NuFFT only
+//! in its gather, one chunk of planned samples per pool job. On a 2-vCPU
 //! host an FFT split into pool panels was slower than the serial blocked
 //! one at every size `BENCH_fft_scaling.json` records (0.59× its speed at
 //! 256²).
@@ -53,7 +56,7 @@ use crate::decomp::{Decomposer, DimDecomp};
 use crate::engine::{keys, WorkerPool};
 use crate::gridding::slice_dice::CANCEL_CHECK_MASK;
 use crate::gridding::{expand_windows, for_each_point, scatter_rowmajor, DimWindow, Gridder};
-use crate::interp::{self, gather_from_windows};
+use crate::interp::gather_from_windows;
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
 use crate::{Error, Result};
@@ -559,12 +562,13 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
     ///
     /// This runs the map → quantize → decompose stage (§III) exactly once
     /// per sample; the result can then drive any number of
-    /// [`Self::adjoint_batch_planned`] / [`Self::forward_batch_planned`]
-    /// calls without repeating that work. Both expand each sample's
-    /// windows with [`expand_windows`], the function the unplanned
-    /// engines use, and visit grid points in the same order as
-    /// [`crate::gridding::SerialGridder`], so planned outputs are bitwise
-    /// identical to unplanned serial ones.
+    /// [`Self::adjoint_batch_planned`] and [`Self::forward_planned`] calls
+    /// without repeating that work. Both expand each sample's windows with
+    /// [`expand_windows`], the function the unplanned engines use. The
+    /// scatter visits grid points in the same order as
+    /// [`crate::gridding::SerialGridder`], and the gather sums them in the
+    /// same order as [`crate::interp::interpolate`], so planned outputs
+    /// are bitwise identical to the unplanned serial ones.
     pub fn plan_trajectory(&self, coords: &[[f64; D]]) -> Result<PlannedTrajectory<D>> {
         Self::check_finite(coords)?;
         let _span = telemetry::span!("nufft.plan_trajectory", { dim: D, m: coords.len() });
@@ -815,93 +819,6 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         }
     }
 
-    /// Batched forward NuFFT over a planned trajectory: one image per
-    /// pooled job, each embedding + FFT-ing into an arena-recycled grid
-    /// and gathering every sample through its expanded windows.
-    ///
-    /// Each output is bitwise identical to `self.forward(image, coords)`
-    /// because [`gather_from_windows`] accumulates in the same order as
-    /// the on-the-fly interpolator.
-    pub fn forward_batch_planned(
-        &self,
-        images: &[&[Complex<T>]],
-        traj: &PlannedTrajectory<D>,
-    ) -> Result<Vec<ForwardOutput<T>>> {
-        self.check_traj(traj)?;
-        let n = self.inner.cfg.n;
-        let expect = n.pow(D as u32);
-        for (j, img) in images.iter().enumerate() {
-            if img.len() != expect {
-                return Err(Error::Data(format!(
-                    "image {j} has {} pixels, expected {}^{}",
-                    img.len(),
-                    n,
-                    D
-                )));
-            }
-        }
-        if images.is_empty() {
-            return Ok(Vec::new());
-        }
-        let g = self.inner.params.grid;
-        let w = self.inner.params.width;
-        let npoints = g.pow(D as u32);
-        let njobs = images.len();
-
-        let _span = telemetry::span!("nufft.forward_batch_planned", {
-            dim: D,
-            images: njobs
-        });
-        let inner = Arc::clone(&self.inner);
-        let decomps = Arc::clone(&traj.decomps);
-        let dec = Decomposer::new(&self.inner.params);
-        let imgs: Vec<Arc<[Complex<T>]>> = images.iter().map(|b| Arc::from(*b)).collect();
-        let pool = WorkerPool::global();
-        let out = pool.map("nufft.forward_batch_planned", njobs, move |j, arena| {
-            let _img_span = telemetry::span!("nufft.coil_forward", { image: j });
-            faultpoint!(crate::fault::NUFFT_COIL);
-            let mut grid = arena.take_vec(keys::COIL_GRID, npoints, Complex::<T>::zeroed());
-            let t0 = Instant::now();
-            inner.embed_apodized(&imgs[j], &mut grid);
-            let apod_seconds = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            {
-                let _fft_span = telemetry::span!("fft.process", { points: npoints });
-                inner.fft.process(&mut grid, Direction::Forward);
-            }
-            let fft_seconds = t1.elapsed().as_secs_f64();
-            let t2 = Instant::now();
-            let mut samples: Vec<Complex<T>> = Vec::with_capacity(decomps.len());
-            let mut cancelled_early = false;
-            let mut wins = [DimWindow::default(); D];
-            for (i, dds) in decomps.iter().enumerate() {
-                if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
-                    // Cooperative cancellation mid-gather: report a Budget
-                    // error instead of a truncated sample vector.
-                    cancelled_early = true;
-                    break;
-                }
-                expand_windows(&dec, &inner.lut, dds, &mut wins);
-                samples.push(gather_from_windows::<T, D>(&grid, g, w, &wins));
-            }
-            let interp_seconds = t2.elapsed().as_secs_f64();
-            arena.give_vec(keys::COIL_GRID, grid);
-            if cancelled_early {
-                return Err(Error::Budget(format!("image {j} cancelled mid-gather")));
-            }
-            Ok(ForwardOutput {
-                samples,
-                timings: StageTimings {
-                    prep_seconds: 0.0,
-                    interp_seconds,
-                    fft_seconds,
-                    apod_seconds,
-                },
-            })
-        })?;
-        out.into_iter().collect()
-    }
-
     /// The adjoint NuFFT's post-gridding stages: uniform FFT over an
     /// already-gridded oversampled buffer, then extraction and
     /// de-apodization, both serially on the calling thread.
@@ -916,19 +833,44 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         self.inner.finish_adjoint(grid)
     }
 
-    /// Forward NuFFT: `[N; D]` image → non-uniform samples. The gather
-    /// runs one chunk of samples per job of the global pool.
+    /// Forward NuFFT: `[N; D]` image → non-uniform samples. Plans the
+    /// coordinates ([`Self::plan_trajectory`]) and runs
+    /// [`Self::forward_planned`] over them; `timings.prep_seconds` is the
+    /// planning time.
     pub fn forward(&self, image: &[Complex<T>], coords: &[[f64; D]]) -> Result<ForwardOutput<T>> {
-        self.forward_with(WorkerPool::global(), image, coords)
+        let traj = self.plan_trajectory(coords)?;
+        let mut out = self.forward_planned(&traj, image)?;
+        out.timings.prep_seconds = traj.plan_seconds;
+        Ok(out)
     }
 
-    /// [`Self::forward`] with the gather jobs on `pool`.
-    fn forward_with(
+    /// Forward NuFFT over a planned trajectory, the production gather:
+    /// pre-apodize and embed `image` into the oversampled grid and FFT it,
+    /// both serially on the calling thread, then gather the samples in
+    /// one chunk per job of the global pool, each expanding its samples'
+    /// windows from the stored decompositions.
+    ///
+    /// Every sample's gather is independent and sums its window points in
+    /// the order [`crate::interp::interpolate`] does, so the output is
+    /// bitwise identical to that serial gather on any pool.
+    /// `timings.prep_seconds` is zero here — the mapping/decomposition
+    /// cost lives in [`PlannedTrajectory::plan_seconds`], paid once.
+    pub fn forward_planned(
+        &self,
+        traj: &PlannedTrajectory<D>,
+        image: &[Complex<T>],
+    ) -> Result<ForwardOutput<T>> {
+        self.forward_planned_with(WorkerPool::global(), traj, image)
+    }
+
+    /// [`Self::forward_planned`] with the gather jobs on `pool`.
+    fn forward_planned_with(
         &self,
         pool: &WorkerPool,
+        traj: &PlannedTrajectory<D>,
         image: &[Complex<T>],
-        coords: &[[f64; D]],
     ) -> Result<ForwardOutput<T>> {
+        self.check_traj(traj)?;
         let n = self.inner.cfg.n;
         let g = self.inner.params.grid;
         if image.len() != n.pow(D as u32) {
@@ -939,12 +881,8 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                 D
             )));
         }
-        Self::check_finite(coords)?;
-
-        let _span = telemetry::span!("nufft.forward", { dim: D, m: coords.len() });
-        // Pre-apodize and embed into the zero-padded oversampled grid,
-        // then FFT, both serially on the calling thread; only the
-        // interpolation below fans out.
+        let m = traj.len();
+        let _span = telemetry::span!("nufft.forward", { dim: D, m: m });
         let t0 = Instant::now();
         let mut grid = vec![Complex::<T>::zeroed(); g.pow(D as u32)];
         self.inner.embed_apodized(image, &mut grid);
@@ -957,34 +895,33 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         }
         let fft_seconds = t1.elapsed().as_secs_f64();
 
-        let t2 = Instant::now();
-        let mapped = Arc::new(self.inner.map_coords(coords));
-        let prep_seconds = t2.elapsed().as_secs_f64();
-
         // Job `j` gathers samples `[j·M/J, (j+1)·M/J)` from the shared
         // grid; each sample's gather is independent, so the split never
         // changes a bit.
-        let t3 = Instant::now();
-        let m = coords.len();
+        let t2 = Instant::now();
         let njobs = pool.size().min(m);
         let inner = Arc::clone(&self.inner);
+        let decomps = Arc::clone(&traj.decomps);
+        let dec = Decomposer::new(&self.inner.params);
         let grid = Arc::new(grid);
         let chunks = pool.map("nufft.forward", njobs, move |j, _arena| {
-            let chunk = &mapped[j * m / njobs..(j + 1) * m / njobs];
-            let mut out = vec![Complex::<T>::zeroed(); chunk.len()];
-            interp::interpolate(&inner.params, &inner.lut, &grid, chunk, &mut out)?;
-            Ok(out)
+            let (g, w) = (inner.params.grid, inner.params.width);
+            let mut wins = [DimWindow::default(); D];
+            decomps[j * m / njobs..(j + 1) * m / njobs]
+                .iter()
+                .map(|dds| {
+                    expand_windows(&dec, &inner.lut, dds, &mut wins);
+                    gather_from_windows(&grid, g, w, &wins)
+                })
+                .collect::<Vec<_>>()
         })?;
-        let mut samples = Vec::with_capacity(m);
-        for chunk in chunks {
-            samples.extend(chunk?);
-        }
-        let interp_seconds = t3.elapsed().as_secs_f64();
+        let samples = chunks.concat();
+        let interp_seconds = t2.elapsed().as_secs_f64();
 
         Ok(ForwardOutput {
             samples,
             timings: StageTimings {
-                prep_seconds,
+                prep_seconds: 0.0,
                 interp_seconds,
                 fft_seconds,
                 apod_seconds,
@@ -1218,24 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_forward_batch_is_bitwise_forward() {
-        let n = 16;
-        let coords = test_coords(70, 90);
-        let images: Vec<Vec<C64>> = (0..3).map(|i| test_values(n * n, 91 + i)).collect();
-        let refs: Vec<&[C64]> = images.iter().map(|c| c.as_slice()).collect();
-        let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(n)).unwrap();
-        let traj = plan.plan_trajectory(&coords).unwrap();
-        let batched = plan.forward_batch_planned(&refs, &traj).unwrap();
-        for (j, img) in images.iter().enumerate() {
-            let single = plan.forward(img, &coords).unwrap();
-            for (x, y) in batched[j].samples.iter().zip(&single.samples) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "image {j}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "image {j}");
-            }
-        }
-    }
-
-    #[test]
     fn planned_batch_edge_cases() {
         let n = 16;
         let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(n)).unwrap();
@@ -1243,7 +1162,14 @@ mod tests {
         let coords = test_coords(10, 100);
         let traj = plan.plan_trajectory(&coords).unwrap();
         assert!(plan.adjoint_batch_planned(&traj, &[]).unwrap().is_empty());
-        assert!(plan.forward_batch_planned(&[], &traj).unwrap().is_empty());
+        // Empty trajectory → no samples.
+        let image = test_values(n * n, 101);
+        let none = plan.plan_trajectory(&[]).unwrap();
+        assert!(plan
+            .forward_planned(&none, &image)
+            .unwrap()
+            .samples
+            .is_empty());
         // Single-sample trajectory.
         let one = plan.plan_trajectory(&[[0.25, -0.125]]).unwrap();
         assert_eq!(one.len(), 1);
@@ -1264,7 +1190,9 @@ mod tests {
         cfg.table_oversampling = 16;
         let coarse = NufftPlan::<f64, 2>::new(cfg).unwrap();
         let foreign = coarse.plan_trajectory(&coords).unwrap();
-        assert!(plan.forward_batch_planned(&[], &foreign).is_err());
+        assert!(plan.forward_planned(&foreign, &image).is_err());
+        // Wrong-size image rejected.
+        assert!(plan.forward_planned(&traj, &image[1..]).is_err());
         // Non-finite coordinates rejected at planning time.
         assert!(plan.plan_trajectory(&[[f64::NAN, 0.0]]).is_err());
     }
@@ -1296,10 +1224,11 @@ mod tests {
         inner.fft.process(&mut grid, Direction::Forward);
         let mapped = inner.map_coords(&coords);
         let mut want = vec![C64::zeroed(); coords.len()];
-        interp::interpolate(&inner.params, &inner.lut, &grid, &mapped, &mut want).unwrap();
+        crate::interp::interpolate(&inner.params, &inner.lut, &grid, &mapped, &mut want).unwrap();
+        let traj = plan.plan_trajectory(&coords).unwrap();
         for workers in 1..=4 {
             let pool = WorkerPool::new(workers);
-            let got = plan.forward_with(&pool, &image, &coords).unwrap();
+            let got = plan.forward_planned_with(&pool, &traj, &image).unwrap();
             assert!(bits_eq(&got.samples, &want), "{workers} workers");
             assert_eq!(pool.worker_job_counts(), vec![1; workers]);
         }

@@ -19,12 +19,13 @@
 //! [`ToeplitzOperator`] (two FFTs, Impatient's strategy); both paths are
 //! exposed so the trade-off is measurable.
 //!
-//! Every adjoint a solve runs is the production scatter: the trajectory
-//! is planned once per solve ([`NufftPlan::plan_trajectory`]), and the
-//! right-hand side and the gridded operator's adjoint half run the
-//! planned one-coil adjoint over it, as does the Toeplitz build at `2N`.
-//! The planned scatter is bitwise equal to every deterministic gridding
-//! engine, so no solve takes an engine argument.
+//! Every NuFFT a solve runs reads one planned trajectory: it is planned
+//! once per solve ([`NufftPlan::plan_trajectory`]), the right-hand side
+//! and the gridded operator's adjoint half run the planned one-coil
+//! adjoint over it, and the gridded operator's forward half gathers over
+//! it ([`NufftPlan::forward_planned`]). The Toeplitz build plans its own
+//! at `2N`. The planned scatter is bitwise equal to every deterministic
+//! gridding engine, so no solve takes an engine argument.
 
 use crate::budget::RunBudget;
 use crate::nufft::{NufftPlan, PlannedTrajectory};
@@ -144,10 +145,8 @@ pub enum NormalOp<'a, const D: usize> {
     Nufft {
         /// The planned transform.
         plan: &'a NufftPlan<f64, D>,
-        /// Trajectory in cycles, read by the forward half.
-        coords: &'a [[f64; D]],
-        /// The same trajectory planned by `plan`, scattered by the
-        /// adjoint half.
+        /// The trajectory planned by `plan`: the forward half gathers
+        /// over it and the adjoint half scatters over it.
         traj: &'a PlannedTrajectory<D>,
         /// Optional density weights (empty = uniform).
         weights: &'a [f64],
@@ -162,11 +161,10 @@ impl<const D: usize> NormalOp<'_, D> {
         match self {
             NormalOp::Nufft {
                 plan,
-                coords,
                 traj,
                 weights,
             } => {
-                let mut samples = plan.forward(x, coords)?.samples;
+                let mut samples = plan.forward_planned(traj, x)?.samples;
                 if !weights.is_empty() {
                     for (s, &w) in samples.iter_mut().zip(*weights) {
                         *s = s.scale(w);
@@ -330,8 +328,8 @@ pub fn cg_reconstruct<const D: usize>(
 /// Full CG reconstruction with an explicit normal-operator selection.
 ///
 /// The trajectory is planned once per solve: the right-hand side and,
-/// with [`NormalOpKind::Gridded`], every adjoint half of the normal
-/// operator run the planned scatter over it.
+/// with [`NormalOpKind::Gridded`], every forward and adjoint half of the
+/// normal operator run the planned gather and scatter over it.
 /// [`NormalOpKind::Toeplitz`] builds the operator once (one gridding
 /// pass at `2N`) and iterates gridding-free; a degradable build failure
 /// (injected fault, non-finite PSF) falls back to the gridded path under
@@ -355,14 +353,13 @@ pub fn cg_reconstruct_with<const D: usize>(
     let toeplitz = match kind {
         NormalOpKind::Gridded => None,
         NormalOpKind::Toeplitz => {
-            ToeplitzOperator::<D>::degradable(plan.config(), coords, weights, None)?
+            ToeplitzOperator::<D>::degradable(plan.config(), coords, weights)?
         }
     };
     let op = match toeplitz {
         Some(t) => NormalOp::Toeplitz(t),
         None => NormalOp::Nufft {
             plan,
-            coords,
             traj: &traj,
             weights,
         },

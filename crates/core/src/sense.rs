@@ -9,13 +9,15 @@
 //! with 8–32 coils and tens of CG iterations this is precisely the
 //! "millions of NuFFTs" regime the paper's introduction motivates.
 //!
-//! Every coil shares one trajectory (§II-A), so the SENSE adjoint and
-//! each CG-SENSE solve plan it once ([`NufftPlan::plan_trajectory`]),
-//! and every adjoint — the SENSE adjoint, the CG right-hand side and the
-//! gridded normal operator's per-coil adjoint — runs the planned scatter
-//! over it. The Toeplitz
-//! normal operator keeps its coil images in buffers that it hands to the
-//! convolution jobs by value and takes back every iteration.
+//! Every coil shares one trajectory (§II-A), so the acquisition, the
+//! SENSE adjoint and each CG-SENSE solve plan it once
+//! ([`NufftPlan::plan_trajectory`]). Every forward NuFFT — each coil of
+//! [`acquire`] and of the gridded normal operator — runs the planned
+//! gather over it, and every adjoint — the SENSE adjoint, the CG
+//! right-hand side and the gridded normal operator's per-coil adjoint —
+//! runs the planned scatter. The Toeplitz normal operator keeps its coil
+//! images in buffers that it hands to the convolution jobs by value and
+//! takes back every iteration.
 
 use crate::gridding::Gridder;
 use crate::nufft::NufftPlan;
@@ -106,6 +108,10 @@ impl CoilMaps {
 }
 
 /// Simulate a multi-coil acquisition: `data[c] = F_Ω (S_c ⊙ image)`.
+///
+/// Plans the trajectory once and gathers every coil over it
+/// ([`NufftPlan::forward_planned`]); each coil's samples are bitwise equal
+/// to `plan.forward(&(S_c ⊙ image), coords)`.
 pub fn acquire(
     plan: &NufftPlan<f64, 2>,
     maps: &CoilMaps,
@@ -115,6 +121,7 @@ pub fn acquire(
     if image.len() != maps.n() * maps.n() {
         return Err(Error::Data("image size does not match coil maps".into()));
     }
+    let traj = plan.plan_trajectory(coords)?;
     let mut out = Vec::with_capacity(maps.coils());
     for c in 0..maps.coils() {
         let weighted: Vec<C64> = image
@@ -122,7 +129,7 @@ pub fn acquire(
             .zip(maps.map(c))
             .map(|(x, s)| *x * *s)
             .collect();
-        out.push(plan.forward(&weighted, coords)?.samples);
+        out.push(plan.forward_planned(&traj, &weighted)?.samples);
     }
     Ok(out)
 }
@@ -196,8 +203,8 @@ pub fn cg_sense(
 /// [`NormalOpKind`] seam as [`crate::recon::cg_reconstruct_with`].
 ///
 /// The trajectory is planned once per solve: the right-hand side is
-/// [`adjoint_planned`] over it, and the gridded operator runs a forward
-/// NuFFT plus the planned one-coil adjoint per coil. With
+/// [`adjoint_planned`] over it, and the gridded operator runs the planned
+/// forward gather plus the planned one-coil adjoint per coil. With
 /// [`NormalOpKind::Toeplitz`] one shared [`ToeplitzOperator`] is built up
 /// front (a single gridding pass at `2N`) and each CG iteration convolves
 /// every coil-weighted image on the pool — zero gridding in the hot loop.
@@ -236,9 +243,7 @@ fn solve(
     let rhs = adjoint_planned(plan, maps, data, &traj)?;
     let toeplitz = match kind {
         NormalOpKind::Gridded => None,
-        NormalOpKind::Toeplitz => {
-            ToeplitzOperator::<2>::degradable(plan.config(), coords, &[], None)?
-        }
+        NormalOpKind::Toeplitz => ToeplitzOperator::<2>::degradable(plan.config(), coords, &[])?,
     };
     let n = maps.n();
     if let Some(top) = toeplitz {
@@ -284,7 +289,7 @@ fn solve(
                 )));
             }
             let weighted: Vec<C64> = x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect();
-            let fwd = plan.forward(&weighted, coords)?.samples;
+            let fwd = plan.forward_planned(&traj, &weighted)?.samples;
             let back = plan.adjoint_planned(&traj, &fwd)?.image;
             for ((a, b), s) in acc.iter_mut().zip(&back).zip(maps.map(c)) {
                 *a += *b * s.conj();
@@ -342,6 +347,13 @@ mod tests {
             })
             .collect();
         let ax = acquire(&plan, &maps, &x, &coords).unwrap();
+        // One planned trajectory for every coil gathers each coil exactly
+        // as a one-shot forward of `S_c ⊙ x` does.
+        for (c, got) in ax.iter().enumerate() {
+            let weighted: Vec<C64> = x.iter().zip(maps.map(c)).map(|(v, s)| *v * *s).collect();
+            let want = plan.forward(&weighted, &coords).unwrap().samples;
+            assert!(bits_eq(got, &want), "coil {c}");
+        }
         let ahd = adjoint(&plan, &maps, &d, &coords, &SerialGridder).unwrap();
         let lhs: C64 = ax
             .iter()

@@ -107,11 +107,6 @@ impl<S: Read + Write> ServeClient<S> {
         Self { stream }
     }
 
-    /// The underlying stream.
-    pub fn get_ref(&self) -> &S {
-        &self.stream
-    }
-
     /// Send one frame.
     pub fn send(&mut self, frame: &Frame) -> Result<(), ProtocolError> {
         write_frame(&mut self.stream, frame).map_err(ProtocolError::from)

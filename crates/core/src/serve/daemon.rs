@@ -855,6 +855,34 @@ fn spawn_executors(d: &Arc<Daemon>, n: usize) -> Vec<std::thread::JoinHandle<()>
         .collect()
 }
 
+/// A started daemon: its shared state and the threads that serve it —
+/// the executors, the watchdog and, when configured, the snapshotter.
+struct Running {
+    d: Arc<Daemon>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Running {
+    /// Build the daemon and spawn its threads.
+    fn start(opts: &ServeOptions) -> Self {
+        let d = Daemon::new(opts);
+        let mut threads = spawn_executors(&d, opts.executors);
+        threads.push(spawn_watchdog(&d));
+        threads.extend(spawn_snapshotter(&d, opts));
+        Self { d, threads }
+    }
+
+    /// Join every thread, executors first, once shutdown or drain has
+    /// been initiated (the executors drain the queue, then exit), and
+    /// hand back the daemon.
+    fn finish(self) -> Arc<Daemon> {
+        for h in self.threads {
+            let _ = h.join();
+        }
+        self.d
+    }
+}
+
 /// Serve on a Unix socket at `path` until a client sends `Shutdown` or
 /// `Drain`, or [`ServeOptions::drain_signal`] flips (the CLI latches
 /// SIGTERM into it, so `kill <pid>` drains gracefully).
@@ -866,10 +894,8 @@ pub fn serve_unix(path: &Path, opts: &ServeOptions) -> Result<()> {
     listener
         .set_nonblocking(true)
         .map_err(|e| Error::Data(format!("configuring listener: {e}")))?;
-    let d = Daemon::new(opts);
-    let executors = spawn_executors(&d, opts.executors);
-    let watchdog = spawn_watchdog(&d);
-    let snapshotter = spawn_snapshotter(&d, opts);
+    let run = Running::start(opts);
+    let d = Arc::clone(&run.d);
 
     while !d.stop.load(Ordering::SeqCst) {
         if let Some(flag) = opts.drain_signal {
@@ -898,29 +924,17 @@ pub fn serve_unix(path: &Path, opts: &ServeOptions) -> Result<()> {
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
+                // No drain snapshot: the daemon stops on an error.
                 d.initiate_shutdown();
-                for h in executors {
-                    let _ = h.join();
-                }
-                let _ = watchdog.join();
-                if let Some(h) = snapshotter {
-                    let _ = h.join();
-                }
+                run.finish();
                 let _ = std::fs::remove_file(path);
                 return Err(Error::Data(format!("accept failed: {e}")));
             }
         }
     }
-    // Shutdown or drain requested: executors drain the queue, then
-    // exit; a graceful drain snapshots the (final) warm cache.
-    for h in executors {
-        let _ = h.join();
-    }
-    let _ = watchdog.join();
-    if let Some(h) = snapshotter {
-        let _ = h.join();
-    }
-    d.snapshot_on_drain();
+    // Shutdown or drain requested: a graceful drain snapshots the final
+    // warm cache once the executors finish the queue.
+    run.finish().snapshot_on_drain();
     let _ = std::fs::remove_file(path);
     Ok(())
 }
@@ -929,47 +943,24 @@ pub fn serve_unix(path: &Path, opts: &ServeOptions) -> Result<()> {
 /// after a `Shutdown` frame or stdin EOF, once queued jobs have
 /// drained. All responses go to stdout; diagnostics belong on stderr.
 pub fn serve_stdio(opts: &ServeOptions) -> Result<()> {
-    let d = Daemon::new(opts);
-    let executors = spawn_executors(&d, opts.executors);
-    let watchdog = spawn_watchdog(&d);
-    let snapshotter = spawn_snapshotter(&d, opts);
-    let reply: Reply = Arc::new(Mutex::new(Box::new(std::io::stdout())));
-    handle_connection(&d, std::io::stdin(), reply, true);
-    d.initiate_shutdown();
-    for h in executors {
-        let _ = h.join();
-    }
-    let _ = watchdog.join();
-    if let Some(h) = snapshotter {
-        let _ = h.join();
-    }
-    d.snapshot_on_drain();
-    Ok(())
+    serve_stream(std::io::stdin(), std::io::stdout(), opts)
 }
 
-/// In-process variant of [`serve_stdio`] over arbitrary reader/writer
-/// pairs — the daemon loop without any OS transport, used by tests and
-/// available for embedding.
+/// The daemon loop over one reader/writer pair, without any OS
+/// transport: [`serve_stdio`] runs it on stdin/stdout, and tests and
+/// embedders on streams of their own. Returns after a `Shutdown` frame
+/// or EOF, once queued jobs have drained; after a `Drain` frame it
+/// snapshots the plan cache on the way out.
 pub fn serve_stream<R: Read, W: Write + Send + 'static>(
     reader: R,
     writer: W,
     opts: &ServeOptions,
 ) -> Result<()> {
-    let d = Daemon::new(opts);
-    let executors = spawn_executors(&d, opts.executors);
-    let watchdog = spawn_watchdog(&d);
-    let snapshotter = spawn_snapshotter(&d, opts);
+    let run = Running::start(opts);
     let reply: Reply = Arc::new(Mutex::new(Box::new(writer)));
-    handle_connection(&d, reader, reply, true);
-    d.initiate_shutdown();
-    for h in executors {
-        let _ = h.join();
-    }
-    let _ = watchdog.join();
-    if let Some(h) = snapshotter {
-        let _ = h.join();
-    }
-    d.snapshot_on_drain();
+    handle_connection(&run.d, reader, reply, true);
+    run.d.initiate_shutdown();
+    run.finish().snapshot_on_drain();
     Ok(())
 }
 

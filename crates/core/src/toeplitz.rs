@@ -103,18 +103,6 @@ impl<const D: usize> ToeplitzOperator<D> {
     /// `weights` (density compensation, applied inside `AᴴA` as `Aᴴ W A`)
     /// may be empty for uniform weighting.
     pub fn build(cfg: &NufftConfig, coords: &[[f64; D]], weights: &[f64]) -> Result<Self> {
-        Self::build_with_plan(cfg, coords, weights, None)
-    }
-
-    /// Like [`Self::build`], but reusing a prebuilt NuFFT plan at the
-    /// doubled image size `2N` (its configuration must equal `cfg` with
-    /// `n` doubled) instead of planning one internally and dropping it.
-    fn build_with_plan(
-        cfg: &NufftConfig,
-        coords: &[[f64; D]],
-        weights: &[f64],
-        plan2: Option<&NufftPlan<f64, D>>,
-    ) -> Result<Self> {
         if !weights.is_empty() && weights.len() != coords.len() {
             return Err(Error::Data(format!(
                 "weight count {} != coordinate count {}",
@@ -142,24 +130,7 @@ impl<const D: usize> ToeplitzOperator<D> {
         // PSF on the doubled lattice: adjoint NuFFT at image size 2N.
         let mut cfg2 = cfg.clone();
         cfg2.n = 2 * n;
-        let owned;
-        let plan2 = match plan2 {
-            Some(p) => {
-                if *p.config() != cfg2 {
-                    return Err(Error::Config(format!(
-                        "prebuilt Toeplitz plan has n={}, expected the doubled \
-                         configuration (n={}) of the target image",
-                        p.config().n,
-                        cfg2.n
-                    )));
-                }
-                p
-            }
-            None => {
-                owned = NufftPlan::<f64, D>::new(cfg2)?;
-                &owned
-            }
-        };
+        let plan2 = NufftPlan::<f64, D>::new(cfg2)?;
         let ones: Vec<C64> = if weights.is_empty() {
             vec![C64::one(); coords.len()]
         } else {
@@ -241,27 +212,28 @@ impl<const D: usize> ToeplitzOperator<D> {
     ///
     /// `gridder` is not consulted: the build's PSF adjoint runs the
     /// planned scatter, which is bitwise identical to every deterministic
-    /// engine (`tests/engines_agree.rs`). The parameter goes with the
-    /// benchmark change that stops passing it.
+    /// engine (`tests/engines_agree.rs`). `plan2` is not consulted either:
+    /// the build plans its own `2N` transform, and no caller in this
+    /// repository passes anything but `None`. Both parameters go with the
+    /// benchmark change that stops passing them.
     pub fn build_degradable(
         cfg: &NufftConfig,
         coords: &[[f64; D]],
         weights: &[f64],
         _gridder: &dyn Gridder<f64, D>,
-        plan2: Option<&NufftPlan<f64, D>>,
+        _plan2: Option<&NufftPlan<f64, D>>,
     ) -> Result<Option<Arc<Self>>> {
-        Self::degradable(cfg, coords, weights, plan2)
+        Self::degradable(cfg, coords, weights)
     }
 
-    /// [`Self::build_degradable`] without the unused engine argument.
+    /// [`Self::build_degradable`] without the unused arguments.
     pub(crate) fn degradable(
         cfg: &NufftConfig,
         coords: &[[f64; D]],
         weights: &[f64],
-        plan2: Option<&NufftPlan<f64, D>>,
     ) -> Result<Option<Arc<Self>>> {
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Self::build_with_plan(cfg, coords, weights, plan2)
+            Self::build(cfg, coords, weights)
         }));
         let failure = match built {
             Ok(Ok(op)) => return Ok(Some(Arc::new(op))),
@@ -498,31 +470,6 @@ mod tests {
         assert!(top
             .apply_batch(&[&vec![C64::zeroed(); 64][..], &[C64::zeroed(); 7][..]])
             .is_err());
-    }
-
-    #[test]
-    fn prebuilt_plan_is_bitwise_identical_and_validated() {
-        let n = 12;
-        let coords = traj::random_nd::<2>(150, 13);
-        let cfg = NufftConfig::with_n(n);
-        let mut cfg2 = cfg.clone();
-        cfg2.n = 2 * n;
-        let plan2 = NufftPlan::<f64, 2>::new(cfg2).unwrap();
-        let fresh = ToeplitzOperator::<2>::build(&cfg, &coords, &[]).unwrap();
-        let reused =
-            ToeplitzOperator::<2>::build_with_plan(&cfg, &coords, &[], Some(&plan2)).unwrap();
-        assert!(bits_eq(&fresh.kernel.psf_hat, &reused.kernel.psf_hat));
-        let x = test_image(n, 17);
-        assert!(bits_eq(
-            &fresh.apply(&x).unwrap(),
-            &reused.apply(&x).unwrap()
-        ));
-        // A plan at the wrong size (the base N, not 2N) is rejected.
-        let wrong = NufftPlan::<f64, 2>::new(cfg.clone()).unwrap();
-        assert!(matches!(
-            ToeplitzOperator::<2>::build_with_plan(&cfg, &coords, &[], Some(&wrong)),
-            Err(Error::Config(_))
-        ));
     }
 
     /// The kernel `build` makes from the planned PSF adjoint, next to

@@ -134,47 +134,6 @@ impl<T: Float> Fft1d<T> {
         }
     }
 
-    /// Transform many contiguous length-`n` rows in place through this one
-    /// plan (one twiddle table, one Bluestein chirp spectrum).
-    ///
-    /// `data` is treated as `data.len() / n` back-to-back rows; each row
-    /// receives exactly the same floating-point operations as a separate
-    /// [`Self::process`] call, so results are bitwise identical to the
-    /// row-at-a-time loop. For Bluestein lengths the convolution scratch is
-    /// allocated once and reused across rows instead of once per row.
-    ///
-    /// # Panics
-    /// Panics if `data.len()` is not a multiple of the planned length.
-    pub fn process_many(&self, data: &mut [Complex<T>], dir: Direction) {
-        assert_eq!(
-            data.len() % self.n,
-            0,
-            "batch length must be a multiple of the planned length"
-        );
-        match &self.algo {
-            Algo::Trivial => {}
-            Algo::Radix2(r) => {
-                for row in data.chunks_exact_mut(self.n) {
-                    r.process(row, dir);
-                }
-            }
-            Algo::Radix4(r) => {
-                for row in data.chunks_exact_mut(self.n) {
-                    r.process(row, dir);
-                }
-            }
-            Algo::Bluestein(b) => {
-                let mut work = vec![Complex::<T>::zeroed(); b.work_len()];
-                for row in data.chunks_exact_mut(self.n) {
-                    b.process_with_scratch(row, dir, &mut work);
-                }
-            }
-        }
-        if dir == Direction::Inverse {
-            self.scale_inverse(data);
-        }
-    }
-
     /// Scratch length (in scalars) required by [`Self::process_planes`]
     /// for a `lanes`-wide batch: `2 · lanes · m` for Bluestein lengths
     /// (`m = next_pow2(2n−1)`; the factor 2 holds the convolution's real
@@ -238,34 +197,6 @@ impl<T: Float> Fft1d<T> {
             for v in im.iter_mut() {
                 *v *= scale;
             }
-        }
-    }
-
-    /// Transform `lanes` *interleaved* signals in place: element `k` of
-    /// lane `l` lives at `data[k * lanes + l]`.
-    ///
-    /// Convenience wrapper around [`Self::process_planes`]: splits the
-    /// interleaved buffer into freshly allocated real/imaginary planes,
-    /// transforms, and merges back. Per-lane results are bitwise identical
-    /// to [`Self::process`] on each lane. Hot callers (the N-D panel
-    /// passes) keep persistent plane buffers and call
-    /// [`Self::process_planes`] directly instead.
-    ///
-    /// # Panics
-    /// Panics if `lanes == 0` or `data.len() != lanes * self.len()`.
-    pub fn process_interleaved(&self, data: &mut [Complex<T>], lanes: usize, dir: Direction) {
-        assert!(lanes > 0, "need at least one lane");
-        assert_eq!(
-            data.len(),
-            self.n * lanes,
-            "buffer must be lanes * planned length"
-        );
-        let mut re: Vec<T> = data.iter().map(|z| z.re).collect();
-        let mut im: Vec<T> = data.iter().map(|z| z.im).collect();
-        let mut work = vec![T::ZERO; self.batch_scratch_len(lanes)];
-        self.process_planes(&mut re, &mut im, lanes, dir, &mut work);
-        for ((z, &r), &i) in data.iter_mut().zip(&re).zip(&im) {
-            *z = Complex::new(r, i);
         }
     }
 
@@ -477,19 +408,21 @@ mod tests {
                 }
             }
             for dir in [Direction::Forward, Direction::Inverse] {
-                let mut got = inter.clone();
-                plan.process_interleaved(&mut got, lanes, dir);
+                let mut re: Vec<f64> = inter.iter().map(|z| z.re).collect();
+                let mut im: Vec<f64> = inter.iter().map(|z| z.im).collect();
+                let mut work = vec![0.0; plan.batch_scratch_len(lanes)];
+                plan.process_planes(&mut re, &mut im, lanes, dir, &mut work);
                 for (l, lane) in lane_signals.iter().enumerate() {
                     let mut want = lane.clone();
                     plan.process(&mut want, dir);
-                    for k in 0..n {
-                        let g = got[k * lanes + l];
+                    for (k, w) in want.iter().enumerate() {
+                        let i = k * lanes + l;
                         assert_eq!(
-                            g.re.to_bits(),
-                            want[k].re.to_bits(),
+                            re[i].to_bits(),
+                            w.re.to_bits(),
                             "n={n} lane={l} k={k} {dir:?}: re"
                         );
-                        assert_eq!(g.im.to_bits(), want[k].im.to_bits(), "n={n} lane={l} k={k}");
+                        assert_eq!(im[i].to_bits(), w.im.to_bits(), "n={n} lane={l} k={k}");
                     }
                 }
             }

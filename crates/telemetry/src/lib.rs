@@ -26,10 +26,10 @@
 //! ## Kill switch
 //!
 //! Telemetry defaults to **on** and is disabled either at runtime
-//! (`JIGSAW_TELEMETRY=0`, [`set_enabled`], [`TelemetryConfig::disabled`])
-//! or at compile time (the `off` cargo feature). When disabled, every
-//! entry point costs one relaxed atomic load and a branch — verified by
-//! the `telemetry_overhead` bench.
+//! (`JIGSAW_TELEMETRY=0` or [`set_enabled`]) or at compile time (the
+//! `off` cargo feature). When disabled, every entry point costs one
+//! relaxed atomic load and a branch — verified by the
+//! `telemetry_overhead` bench.
 //!
 //! ```
 //! use jigsaw_telemetry as telemetry;
@@ -117,40 +117,6 @@ pub fn env_enables(value: Option<&str>) -> bool {
 /// Force telemetry on or off at runtime, overriding the environment.
 pub fn set_enabled(on: bool) {
     STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Declarative configuration for the telemetry substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Whether spans, events, and metric mirroring are collected.
-    pub enabled: bool,
-}
-
-impl TelemetryConfig {
-    /// Collection on.
-    pub fn enabled() -> Self {
-        Self { enabled: true }
-    }
-
-    /// Collection off — the runtime kill switch. After
-    /// [`TelemetryConfig::install`], every telemetry entry point is a
-    /// single branch.
-    pub fn disabled() -> Self {
-        Self { enabled: false }
-    }
-
-    /// Read the `JIGSAW_TELEMETRY` environment variable (see
-    /// [`env_enables`]).
-    pub fn from_env() -> Self {
-        Self {
-            enabled: env_enables(std::env::var("JIGSAW_TELEMETRY").ok().as_deref()),
-        }
-    }
-
-    /// Make this configuration the process-wide state.
-    pub fn install(self) {
-        set_enabled(self.enabled);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -288,8 +254,6 @@ mod tests {
     #[test]
     fn config_round_trip() {
         let _lock = test_guard();
-        assert!(TelemetryConfig::enabled().enabled);
-        assert!(!TelemetryConfig::disabled().enabled);
         set_enabled(false);
         assert!(!enabled());
         set_enabled(true);

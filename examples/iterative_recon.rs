@@ -81,7 +81,6 @@ fn main() {
     let via_nufft = cg_solve(
         &NormalOp::Nufft {
             plan: &plan,
-            coords: &coords,
             traj: &planned,
             weights: &[],
         },

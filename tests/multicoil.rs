@@ -176,30 +176,3 @@ fn degenerate_batches() {
         .adjoint_batch_planned(&traj, &[short.as_slice()])
         .is_err());
 }
-
-/// The planned forward batch equals per-image `forward` calls exactly.
-#[test]
-fn planned_forward_batch_equals_singles() {
-    cases!(4, |rng| {
-        let n = 16usize;
-        let m = rng.usize_range(1, 120);
-        let coords: Vec<[f64; 2]> = (0..m)
-            .map(|_| [rng.f64_range(-0.5, 0.5), rng.f64_range(-0.5, 0.5)])
-            .collect();
-        let images: Vec<Vec<C64>> = (0..3)
-            .map(|_| {
-                (0..n * n)
-                    .map(|_| C64::new(rng.f64_range(-1.0, 1.0), rng.f64_range(-1.0, 1.0)))
-                    .collect()
-            })
-            .collect();
-        let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(n)).unwrap();
-        let refs: Vec<&[C64]> = images.iter().map(|b| b.as_slice()).collect();
-        let traj = plan.plan_trajectory(&coords).unwrap();
-        let batch = plan.forward_batch_planned(&refs, &traj).unwrap();
-        for (i, out) in batch.iter().enumerate() {
-            let single = plan.forward(&images[i], &coords).unwrap();
-            assert_eq!(rel_l2(&out.samples, &single.samples), 0.0, "image {i}");
-        }
-    });
-}

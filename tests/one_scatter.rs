@@ -1,18 +1,21 @@
-//! Production runs one scatter: the reconstruction paths (`recon`,
-//! `sense`, `toeplitz`) and the serving layer grid only through the
-//! planned adjoint over a trajectory planned once
-//! (`NufftPlan::plan_trajectory`). The unplanned adjoint and the gridding
+//! Production runs one scatter and one gather: the reconstruction paths
+//! (`recon`, `sense`, `toeplitz`) and the serving layer grid only through
+//! the planned adjoint, and interpolate only through the planned forward
+//! (`NufftPlan::forward_planned`), over a trajectory planned once
+//! (`NufftPlan::plan_trajectory`). The unplanned adjoint, the one-shot
+//! forward that plans its coordinates on every call, and the gridding
 //! engines stay for the paper's harnesses and the bitwise suites that
 //! compare against them.
 //!
 //! This reads the non-test source of those modules (comment lines
 //! skipped, and everything from the first `#[cfg(test)]` on) and fails
-//! on any call that grids another way.
+//! on any call that grids or interpolates another way.
 
 use std::path::{Path, PathBuf};
 
-/// Calls that scatter through a gridding engine rather than the plan.
-const UNPLANNED: [&str; 3] = [".adjoint(", ".adjoint_batch(", ".grid("];
+/// Calls that scatter through a gridding engine rather than the plan, or
+/// gather over a trajectory they plan again.
+const UNPLANNED: [&str; 4] = [".adjoint(", ".adjoint_batch(", ".grid(", ".forward("];
 
 /// `(line number, line)` of every non-comment line before the file's
 /// first `#[cfg(test)]`.
@@ -54,7 +57,7 @@ fn production_paths_call_no_unplanned_scatter() {
     }
     assert!(
         hits.is_empty(),
-        "production code grids outside the planned adjoint:\n{}",
+        "production code grids or interpolates outside the planned transforms:\n{}",
         hits.join("\n")
     );
 }

@@ -205,7 +205,6 @@ fn cg_through_toeplitz_matches_gridded_cg() {
         let gridded = cg_solve(
             &NormalOp::Nufft {
                 plan: &plan,
-                coords: &coords,
                 traj: &planned,
                 weights: &weights,
             },

@@ -1,16 +1,22 @@
 //! The planned paths expand every sample's window from its stored
 //! decomposition (base and half-LUT offset per dimension) with the same
 //! function the unplanned engines use, so they must reproduce the
-//! unplanned serial adjoint and the unplanned forward **bit for bit** —
-//! across window widths, table oversampling factors, grid oversampling
-//! factors (grids that are not powers of two), dimensions, and samples on
-//! the torus and tile seams. Also pins the configuration bound that keeps
-//! every window inside the fixed-size expansion scratch.
+//! unplanned serial adjoint and an unplanned serial forward **bit for
+//! bit** — across window widths, table oversampling factors, grid
+//! oversampling factors (grids that are not powers of two), dimensions,
+//! and samples on the torus and tile seams. The forward reference is
+//! built from public parts only: the pre-apodized embed, the uniform FFT
+//! and the on-the-fly serial gather `interp::interpolate`. Also pins the
+//! configuration bound that keeps every window inside the fixed-size
+//! expansion scratch.
 
+use jigsaw::core::apod::Apodization;
 use jigsaw::core::config::GridParams;
 use jigsaw::core::gridding::{SerialGridder, MAX_W};
+use jigsaw::core::interp;
 use jigsaw::core::kernel::KernelKind;
 use jigsaw::core::{Error, NufftConfig, NufftPlan};
+use jigsaw::fft::{Direction, FftNd};
 use jigsaw::num::C64;
 use jigsaw_testkit::{cases, Rng};
 
@@ -51,6 +57,42 @@ fn config(rng: &mut Rng, n_range: (usize, usize)) -> NufftConfig {
     }
 }
 
+/// The forward NuFFT composed without a planned trajectory: pre-apodize
+/// and embed `image` at `k mod G` (per-dimension factors multiplied in
+/// dimension order), FFT the oversampled grid, and gather every mapped
+/// coordinate serially.
+fn unplanned_forward<const D: usize>(
+    plan: &NufftPlan<f64, D>,
+    image: &[C64],
+    coords: &[[f64; D]],
+) -> Vec<C64> {
+    let cfg = plan.config();
+    let (n, g) = (cfg.n, cfg.grid_size());
+    let apod = Apodization::new(cfg);
+    let mut grid = vec![C64::zeroed(); g.pow(D as u32)];
+    for (flat, &v) in image.iter().enumerate() {
+        let (mut dst, mut f) = (0usize, 1.0);
+        for d in 0..D {
+            let i = flat / n.pow((D - 1 - d) as u32) % n;
+            let k = i as i64 - (n / 2) as i64;
+            dst = dst * g + k.rem_euclid(g as i64) as usize;
+            f *= apod.factor(i);
+        }
+        grid[dst] = v.scale(f);
+    }
+    FftNd::new(&[g; D]).process(&mut grid, Direction::Forward);
+    let mut samples = vec![C64::zeroed(); coords.len()];
+    interp::interpolate(
+        plan.grid_params(),
+        plan.lut(),
+        &grid,
+        &plan.map_coords(coords),
+        &mut samples,
+    )
+    .unwrap();
+    samples
+}
+
 fn planned_equals_unplanned<const D: usize>(rng: &mut Rng, n_range: (usize, usize)) {
     let cfg = config(rng, n_range);
     let plan = NufftPlan::<f64, D>::new(cfg.clone()).unwrap();
@@ -72,12 +114,18 @@ fn planned_equals_unplanned<const D: usize>(rng: &mut Rng, n_range: (usize, usiz
     );
 
     let image = serial.image;
-    let planned = plan.forward_batch_planned(&[&image], &traj).unwrap();
-    let unplanned = plan.forward(&image, &coords).unwrap();
+    let unplanned = bits(&unplanned_forward(&plan, &image, &coords));
+    let planned = plan.forward_planned(&traj, &image).unwrap();
     assert_eq!(
-        bits(&planned[0].samples),
-        bits(&unplanned.samples),
+        bits(&planned.samples),
+        unplanned,
         "planned forward differs: D={D} {cfg:?}"
+    );
+    let one_shot = plan.forward(&image, &coords).unwrap();
+    assert_eq!(
+        bits(&one_shot.samples),
+        unplanned,
+        "one-shot forward differs: D={D} {cfg:?}"
     );
 }
 
